@@ -6,105 +6,20 @@ form, error-budget sweeps, and ingestion of sampled waveforms with an
 independent log-decrement cross-check.
 """
 
-from .analysis import (
-    MonteCarloSummary,
-    frequency_sweep,
-    monte_carlo,
-    optimal_k,
-    worst_case_sweep,
-)
-from .charts import svg_line_chart, write_svg
-from .circuit import (
-    CircuitNonIdealities,
-    SignAlignment,
-    SimTrace,
-    SimulationError,
-    TraceRow,
-    capture_model,
-    effective_threshold,
-    pessimistic_nonidealities,
-    predicted_measurement,
-    simulate_measurement,
-)
-from .counting import (
-    Convention,
-    MeasurementConfig,
-    MeasurementResult,
-    count_pseudo_periods,
-    q_from_count,
-    q_from_count_shortcut,
-    theoretical_error,
-    theoretical_error_sweep,
-)
-from .resonator import (
-    DerivedDynamics,
-    ResonatorParams,
-    Waveform,
-    derive_dynamics,
-    eval_response,
-    peak_time,
-    peak_value,
-    synth_waveform,
-)
-from .tables import SweepTable
-from .waveform_io import (
-    InsufficientRecordError,
-    PeakList,
-    WaveformFormatError,
-    extract_peaks,
-    fit_q_log_decrement,
-    load_waveform,
-    measure_q_counting,
-    measurement_record,
-    peaklist_to_csv,
-    waveform_to_csv,
-)
+from . import analysis, charts, circuit, counting, resonator, tables, waveform_io
+from .analysis import *  # noqa: F403
+from .charts import *  # noqa: F403
+from .circuit import *  # noqa: F403
+from .counting import *  # noqa: F403
+from .resonator import *  # noqa: F403
+from .tables import *  # noqa: F403
+from .waveform_io import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CircuitNonIdealities",
-    "Convention",
-    "DerivedDynamics",
-    "InsufficientRecordError",
-    "MeasurementConfig",
-    "MeasurementResult",
-    "MonteCarloSummary",
-    "PeakList",
-    "ResonatorParams",
-    "SignAlignment",
-    "SimTrace",
-    "SimulationError",
-    "SweepTable",
-    "TraceRow",
-    "Waveform",
-    "WaveformFormatError",
-    "capture_model",
-    "count_pseudo_periods",
-    "derive_dynamics",
-    "effective_threshold",
-    "eval_response",
-    "extract_peaks",
-    "fit_q_log_decrement",
-    "frequency_sweep",
-    "load_waveform",
-    "measure_q_counting",
-    "measurement_record",
-    "monte_carlo",
-    "optimal_k",
-    "peak_time",
-    "peak_value",
-    "peaklist_to_csv",
-    "pessimistic_nonidealities",
-    "predicted_measurement",
-    "q_from_count",
-    "q_from_count_shortcut",
-    "simulate_measurement",
-    "svg_line_chart",
-    "synth_waveform",
-    "theoretical_error",
-    "theoretical_error_sweep",
-    "waveform_to_csv",
-    "worst_case_sweep",
-    "write_svg",
-]
+# every module lists its public names; the package re-exports them all
+__all__ = sorted(
+    name
+    for module in (analysis, charts, circuit, counting, resonator, tables, waveform_io)
+    for name in module.__all__
+)

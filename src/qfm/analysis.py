@@ -11,6 +11,11 @@ Three views of the error budget:
 * ``monte_carlo``       independent uniform draws of each error source
   through the closed-form model.
 
+Every closed-form count here is one call of the crossing kernel in
+``counting`` over a grid: (corner x Q) per k for the sweeps and
+``optimal_k``, whose envelope is built once for all k, and a block of
+trials for ``monte_carlo``.
+
 ``optimal_k`` picks the division factor minimizing the worst-case error
 over a Q range; larger k suppresses count quantization while making the
 fixed comparator offset loom larger against the lower threshold, so an
@@ -29,12 +34,17 @@ from .circuit import (
     CircuitNonIdealities,
     SignAlignment,
     SimulationError,
-    _diode_ramp,
-    _predict_values,
-    _tracking_gain,
+    detector_envelope,
     simulate_measurement,
 )
-from .counting import Convention, MeasurementConfig
+from .counting import (
+    Convention,
+    MeasurementConfig,
+    check_k,
+    error_table,
+    expand_range,
+    first_crossing,
+)
 from .resonator import ResonatorParams
 from .tables import SweepTable
 
@@ -46,6 +56,8 @@ __all__ = [
     "MonteCarloSummary",
 ]
 
+# trials per kernel call in monte_carlo, which bounds its working memory
+_MC_BLOCK = 8192
 _ALIGNED_CORNERS = ((1.0, 1.0, 1.0, 1.0, 1.0), (-1.0, -1.0, 1.0, 1.0, 1.0))
 
 
@@ -57,73 +69,21 @@ def _corner_signs(exhaustive: bool):
     corner of the five-dimensional sign box and is the envelope that
     provably dominates independent draws.
     """
-    if exhaustive:
-        return tuple(itertools.product((-1.0, 1.0), repeat=5))
-    return _ALIGNED_CORNERS
+    return tuple(itertools.product((-1.0, 1.0), repeat=5)) if exhaustive else _ALIGNED_CORNERS
 
 
-def _vector_errors(qs, k, f0, v0, convention, signed, ni):
-    """Closed-form (n, q_measured, rel_error, valid) over an array of true
-    Q values, mirroring the scalar predicted path arithmetic exactly.
-
-    ``signed`` is the tuple of signed error values
-    (divider, comparator, opamp, leak, diode).
-    """
-    divider, comparator, opamp, leak, diode = signed
-    qs = np.asarray(qs, dtype=float)
-    w0 = 2.0 * math.pi * f0
-    alpha = w0 / (2.0 * qs)
-    omega_d = w0 * np.sqrt(1.0 - 1.0 / (4.0 * qs * qs))
-    T = 2.0 * math.pi / omega_d
-    g = _tracking_gain(f0, ni.detector_bandwidth)
-    drop = diode * _diode_ramp(f0, ni.f_fail) + leak * T
-
-    v0_captured = np.maximum(0.0, v0 * g - drop + opamp)
-    valid = v0_captured > 0
-    thr = v0_captured / (k * (1.0 + divider)) + comparator
-    rhs = thr + drop - opamp
-    valid &= (thr >= 0) & (rhs > 0)
-
-    decrement = alpha * T
-    safe_rhs = np.where(valid & (rhs > 0), rhs, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = np.where(
-            g * v0 > safe_rhs, np.log(g * v0 / safe_rhs) / decrement, 0.0
-        )
-    m = np.maximum(1, np.ceil(est).astype(np.int64))
-
-    def captured(mm):
-        return np.maximum(0.0, v0 * np.exp(-alpha * (mm * T)) * g - drop + opamp)
-
-    # settle the estimate with the same comparisons a scalar scan makes
-    for _ in range(4):
-        step_down = valid & (m > 1) & (captured(m - 1) <= thr)
-        m = np.where(step_down, m - 1, m)
-    for _ in range(4):
-        step_up = valid & (captured(m) > thr)
-        m = np.where(step_up, m + 1, m)
-    settled = ~valid | ((captured(m) <= thr) & ((m == 1) | (captured(m - 1) > thr)))
-    if not np.all(settled):
-        raise RuntimeError("crossing-index estimate failed to settle; widen the fix passes")
-
-    n = m if convention is Convention.FIRST_AT_OR_BELOW else m - 1
-    valid &= n >= 1
-    n_safe = np.maximum(n, 1)
-    lnk = math.log(k)
-    qm = 0.5 * np.sqrt(1.0 + 4.0 * math.pi**2 * n_safe.astype(float) ** 2 / lnk**2)
-    err = (qm - qs) / qs
-    return n, qm, err, valid
-
-
-def _signed_values(ni: CircuitNonIdealities, signs):
-    mags = (
-        ni.divider_error,
-        ni.comparator_offset,
-        ni.opamp_offset,
-        ni.leak_droop,
-        ni.diode_residual,
+def _crossings(qs, ni: CircuitNonIdealities, f0: float, v0: float, signs):
+    """first_crossing over the envelope of ``qs`` at f0, as a function of
+    k, the convention and the shortcut.  Each row of ``signs`` scales the
+    five (divider, comparator, opamp, leak, diode) magnitudes: +/-1 at
+    the sign corners, a random draw in Monte Carlo.  Rows run along
+    axis 0 of the result, Q along axis 1."""
+    mags = (ni.divider_error, ni.comparator_offset, ni.opamp_offset, ni.leak_droop, ni.diode_residual)
+    divider, comparator, opamp, leak, diode = (np.asarray(signs) * np.array(mags)).T[:, :, None]
+    env = detector_envelope(qs, f0, v0, ni, opamp, leak, diode)
+    return lambda k, convention, shortcut=False: first_crossing(
+        env, k, convention, shortcut, divider, comparator
     )
-    return tuple(s * m for s, m in zip(signs, mags))
 
 
 def worst_case_sweep(
@@ -141,31 +101,27 @@ def worst_case_sweep(
     corners (all corners of the sign box with ``exhaustive=True``) and
     reports the corner with the largest absolute error, signed.  Cells
     where every corner fails to complete are recorded with NA markers.
+    One kernel call per k covers the (corner x Q) grid.
     """
-    k_values = list(k_values)
-    if not k_values:
-        raise ValueError("k_values must be non-empty")
-    qs = _expand(q_range)
-    corners = _corner_signs(exhaustive)
-    table = SweepTable(columns=("k", "q_true", "n", "q_measured", "rel_error"))
-    for k in k_values:
-        best_err = np.full(qs.shape, np.nan)
-        best_n = np.zeros(qs.shape, dtype=np.int64)
-        best_qm = np.full(qs.shape, np.nan)
-        for signs in corners:
-            n, qm, err, valid = _vector_errors(
-                qs, k, f0, v0, convention, _signed_values(ni, signs), ni
-            )
-            take = valid & (np.isnan(best_err) | (np.abs(err) > np.abs(best_err)))
-            best_err = np.where(take, err, best_err)
-            best_n = np.where(take, n, best_n)
-            best_qm = np.where(take, qm, best_qm)
-        for i, q_true in enumerate(qs):
-            if np.isnan(best_err[i]):
-                table.append(k, q_true, None, None, None)
-            else:
-                table.append(k, q_true, int(best_n[i]), best_qm[i], best_err[i])
-    return table
+    ks = check_k(list(k_values))
+    qs = expand_range(q_range)
+    crossings = _crossings(qs, ni, f0, v0, _corner_signs(exhaustive))
+    worst = [_worst_corner(crossings(k, convention)) for k in ks]
+    return error_table(ks, qs, *(np.stack(column) for column in zip(*worst)))
+
+
+def _worst_corner(c):
+    """(n, q, error, valid) of the corner (axis 0) with the largest
+    |error| among those that complete; the first such corner on ties."""
+    valid = c.valid
+    pick = np.argmax(np.where(valid, np.abs(c.error), -1.0), axis=0)[None]
+    n, q, error = (np.take_along_axis(a, pick, axis=0)[0] for a in (c.n, c.q, c.error))
+    return n, q, error, valid.any(axis=0)
+
+
+def _worst_error(c) -> float:
+    """Largest |error| over the cells, inf if any cell fails."""
+    return float(np.max(np.abs(c.error))) if np.all(c.valid) else math.inf
 
 
 def optimal_k(
@@ -182,26 +138,17 @@ def optimal_k(
     The Q sampling step must resolve the count-quantization ripple
     (period roughly pi/ln k in Q) or the sampled maxima misrank nearby k.
     """
-    k_grid = [float(k) for k in k_grid]
-    if not k_grid:
-        raise ValueError("k_grid must be non-empty")
-    qs = _expand(q_range)
+    ks = np.sort(check_k(list(k_grid)))
+    qs = expand_range(q_range)
+    crossings = _crossings(qs, ni, f0, v0, _ALIGNED_CORNERS)
     best_k = None
     best_metric = math.inf
-    for k in sorted(k_grid):
-        metric = 0.0
-        for signs in _ALIGNED_CORNERS:
-            n, qm, err, valid = _vector_errors(
-                qs, k, f0, v0, convention, _signed_values(ni, signs), ni
-            )
-            if not np.all(valid):
-                metric = math.inf
-                break
-            metric = max(metric, float(np.max(np.abs(err))))
+    for k in ks.tolist():
+        metric = _worst_error(crossings(k, convention))
         if metric < best_metric:
             best_metric = metric
             best_k = k
-    if best_k is None or not math.isfinite(best_metric):
+    if best_k is None:
         raise SimulationError(
             "no k on the grid completes the measurement over the requested Q range"
         )
@@ -283,41 +230,21 @@ def monte_carlo(
     if distribution not in ("uniform", "gaussian"):
         raise ValueError(f"distribution must be 'uniform' or 'gaussian', got {distribution!r}")
     rng = np.random.default_rng(seed)
-    mags = np.array(
-        [
-            ni_distributions.divider_error,
-            ni_distributions.comparator_offset,
-            ni_distributions.opamp_offset,
-            ni_distributions.leak_droop,
-            ni_distributions.diode_residual,
-        ]
-    )
-    if distribution == "uniform":
-        draws = rng.uniform(-1.0, 1.0, size=(trials, 5)) * mags
-    else:
-        draws = rng.standard_normal(size=(trials, 5)) * mags
     errors = []
-    failures = 0
-    for row in draws:
-        try:
-            result, _ = _predict_values(
-                params,
-                config,
-                divider=row[0],
-                comparator=row[1],
-                opamp=row[2],
-                leak=row[3],
-                diode=row[4],
-                detector_bandwidth=ni_distributions.detector_bandwidth,
-                f_fail=ni_distributions.f_fail,
-            )
-        except SimulationError:
-            failures += 1
-            continue
-        errors.append(result.relative_error)
-    if not errors:
+    # blocks draw the same stream as one (trials, 5) draw would
+    for start in range(0, trials, _MC_BLOCK):
+        size = (min(_MC_BLOCK, trials - start), 5)
+        if distribution == "uniform":
+            draws = rng.uniform(-1.0, 1.0, size=size)
+        else:
+            draws = rng.standard_normal(size=size)
+        crossings = _crossings(params.q, ni_distributions, params.f0, params.v0, draws)
+        c = crossings(config.k, config.convention, config.shortcut)
+        errors.append(c.error[c.valid])
+    errors = np.concatenate(errors)
+    failures = trials - errors.size
+    if not errors.size:
         raise SimulationError("every trial failed to complete a measurement")
-    errors = np.array(errors)
     counts, edges = np.histogram(errors, bins=20)
     return MonteCarloSummary(
         trials=trials,
@@ -329,12 +256,3 @@ def monte_carlo(
         hist_counts=tuple(int(c) for c in counts),
         hist_edges=tuple(float(e) for e in edges),
     )
-
-
-def _expand(q_range) -> np.ndarray:
-    lo, hi, step = q_range
-    if not (lo > 0.5 and hi >= lo and step > 0):
-        raise ValueError(
-            f"invalid range {q_range!r}: need 0.5 < min <= max and step > 0"
-        )
-    return np.arange(lo, hi + step / 2.0, step)

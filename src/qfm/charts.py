@@ -8,12 +8,11 @@ compared byte for byte.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .tables import SweepTable
+from .tables import SweepTable, write_text
 
 __all__ = ["svg_line_chart", "write_svg"]
 
@@ -43,38 +42,38 @@ def svg_line_chart(
 ) -> str:
     """Render |y| in percent against x, one polyline per distinct value
     of the ``series`` column (single polyline when ``series`` is None).
-    Rows with missing cells are skipped.
+    Rows with missing (NA or NaN) cells are skipped.
     """
-    xi = table.columns.index(x)
-    yi = table.columns.index(y)
-    si = table.columns.index(series) if series is not None else None
-
-    groups: dict = {}
-    for row in table.rows:
-        if row[xi] is None or row[yi] is None:
-            continue
-        key = row[si] if si is not None else ""
-        groups.setdefault(key, []).append((float(row[xi]), abs(float(row[yi])) * 100.0))
-    if not groups:
+    xs, ys = table.column(x), table.column(y)
+    plotted = np.flatnonzero(~(np.isnan(xs) | np.isnan(ys)))
+    if not plotted.size:
         raise ValueError("nothing to plot: every row has missing cells")
+    xs, ys = xs[plotted], np.abs(ys[plotted]) * 100.0
+    # positions in the plotted arrays, grouped by series value
+    groups: dict = {}
+    if series is None:
+        groups[""] = np.arange(plotted.size)
+    else:
+        keys = table.cells(series)
+        for pos, i in enumerate(plotted.tolist()):
+            groups.setdefault(keys[i], []).append(pos)
 
-    xs = [p[0] for pts in groups.values() for p in pts]
-    ys = [p[1] for pts in groups.values() for p in pts]
-    if log_x and min(xs) <= 0:
+    if log_x and xs.min() <= 0:
         raise ValueError("log x axis needs positive x values")
 
     def xt(v):
         return math.log10(v) if log_x else v
 
-    x_lo, x_hi = min(xt(v) for v in xs), max(xt(v) for v in xs)
+    xts = np.array([xt(v) for v in xs.tolist()]) if log_x else xs
+    x_lo, x_hi = float(xts.min()), float(xts.max())
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    y_hi = max(ys) * 1.08 or 1e-9
+    y_hi = float(ys.max()) * 1.08 or 1e-9
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
 
-    def px(v):
-        return _MARGIN_L + (xt(v) - x_lo) / (x_hi - x_lo) * plot_w
+    def px(t):  # t on the (log-)transformed x axis
+        return _MARGIN_L + (t - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(v):
         return _MARGIN_T + (1.0 - v / y_hi) * plot_h
@@ -98,7 +97,7 @@ def svg_line_chart(
     parts.append(f'<line x1="{x0}" y1="{_MARGIN_T}" x2="{x0}" y2="{y0}" stroke="black"/>')
 
     for xv in _x_ticks(x_lo, x_hi, log_x):
-        p = _MARGIN_L + (xt(xv) - x_lo) / (x_hi - x_lo) * plot_w
+        p = px(xt(xv))
         parts.append(f'<line x1="{p:.2f}" y1="{y0}" x2="{p:.2f}" y2="{y0 + 5}" stroke="black"/>')
         parts.append(
             f'<text x="{p:.2f}" y="{y0 + 18}" font-family="sans-serif" font-size="11" '
@@ -122,13 +121,13 @@ def svg_line_chart(
         f"|{escape(y)}| [%]</text>"
     )
 
-    for idx, (key, pts) in enumerate(groups.items()):
+    for idx, (key, at) in enumerate(groups.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in pts)
+        coords = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px(xts[at]).tolist(), py(ys[at]).tolist()))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        if si is not None:
+        if series is not None:
             ly = _MARGIN_T + 14 + 16 * idx
             lx = _MARGIN_L + plot_w - 120
             parts.append(
@@ -144,11 +143,7 @@ def svg_line_chart(
 
 
 def write_svg(table: SweepTable, dest, **kwargs) -> None:
-    text = svg_line_chart(table, **kwargs)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8", newline="\n")
+    write_text(dest, svg_line_chart(table, **kwargs))
 
 
 def _x_ticks(lo, hi, log_x):

@@ -35,25 +35,22 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .counting import (
-    Convention,
+    Envelope,
+    Failure,
     MeasurementConfig,
     MeasurementResult,
-    q_from_count,
-    q_from_count_shortcut,
+    check_k,
+    check_range,
+    first_crossing,
+    stop_threshold,
 )
-from .resonator import (
-    ResonatorParams,
-    derive_dynamics,
-    peak_value,
-    synth_waveform,
-)
-from .tables import format_number
+from .resonator import ResonatorParams, derive_dynamics, synth_waveform
+from .tables import SweepTable, write_text
 
 __all__ = [
     "SignAlignment",
@@ -106,12 +103,13 @@ class CircuitNonIdealities:
             "diode_residual",
             "noise_rms",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} is a magnitude and must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} is a magnitude and must be finite and >= 0")
         if not 0 <= self.divider_error < 1:
             raise ValueError(
                 f"divider_error must be in [0, 1) (got {self.divider_error})"
             )
+        # an infinite bandwidth or failure knee is a perfect detector
         if not self.detector_bandwidth > 0:
             raise ValueError("detector_bandwidth must be > 0 Hz")
         if not self.f_fail > 0:
@@ -161,29 +159,12 @@ class SimTrace:
     CSV_COLUMNS = ("cycle", "peak_time", "true_peak", "captured_peak", "threshold", "count_enable")
 
     def to_csv_string(self) -> str:
-        lines = [",".join(self.CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    format_number(v)
-                    for v in (
-                        r.cycle,
-                        r.peak_time,
-                        r.true_peak,
-                        r.captured_peak,
-                        r.threshold,
-                        r.count_enable,
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        table = SweepTable(self.CSV_COLUMNS)
+        table.extend(*([getattr(r, name) for r in self.rows] for name in self.CSV_COLUMNS))
+        return table.to_csv_string()
 
     def to_csv(self, dest) -> None:
-        text = self.to_csv_string()
-        if hasattr(dest, "write"):
-            dest.write(text)
-        else:
-            Path(dest).write_text(text, encoding="utf-8", newline="\n")
+        write_text(dest, self.to_csv_string())
 
 
 def _tracking_gain(f0: float, bandwidth: float) -> float:
@@ -222,10 +203,6 @@ def capture_model(
     )
 
 
-def _signed_threshold(v0_captured, k, divider, comparator):
-    return v0_captured / (k * (1.0 + divider)) + comparator
-
-
 def effective_threshold(
     v0_captured: float,
     k: float,
@@ -243,10 +220,9 @@ def effective_threshold(
             f"v0_captured must be > 0 V (got {v0_captured}); "
             "the divider has no reference to scale"
         )
-    if not k > 1.0:
-        raise ValueError(f"k must be > 1 (got {k})")
+    check_k(k)
     s_div, s_cmp = _resolve_signs(ni, rng)
-    return _signed_threshold(
+    return stop_threshold(
         v0_captured, k, s_div * ni.divider_error, s_cmp * ni.comparator_offset
     )
 
@@ -266,88 +242,59 @@ def _resolve_signs(ni: CircuitNonIdealities, rng=None):
 # closed-form path
 
 
-def _predict_values(
-    params: ResonatorParams,
-    config: MeasurementConfig,
-    divider: float,
-    comparator: float,
-    opamp: float,
-    leak: float,
-    diode: float,
-    detector_bandwidth: float,
-    f_fail: float,
-):
-    """Closed-form measurement with every error source given as a signed
-    value.  Returns (MeasurementResult, first crossing index m*)."""
-    dyn = derive_dynamics(params)
-    hold = dyn.pseudo_period
-    g = _tracking_gain(params.f0, detector_bandwidth)
-    drop = diode * _diode_ramp(params.f0, f_fail) + leak * hold
+def detector_envelope(q, f0, v0, ni: CircuitNonIdealities, opamp, leak, diode) -> Envelope:
+    """The crossing kernel's model of this peak detector at f0, with the
+    detector-side errors given as signed values (arrays broadcast)."""
+    gain = _tracking_gain(f0, ni.detector_bandwidth)
+    return Envelope(q, f0, v0, gain, _diode_ramp(f0, ni.f_fail), opamp, leak, diode)
 
-    def captured(m: int) -> float:
-        return max(0.0, peak_value(params, m) * g - drop + opamp)
 
-    if 1.0 + divider <= 0:
-        raise SimulationError(
-            f"divider error {divider:+.3g} wipes out the division ratio entirely"
-        )
-    v0_captured = max(0.0, params.v0 * g - drop + opamp)
-    if v0_captured <= 0:
-        raise SimulationError(
-            "captured initial amplitude is zero: the peak detector loses the "
-            f"signal entirely at f0={params.f0} Hz with this error budget"
-        )
-    thr = _signed_threshold(v0_captured, config.k, divider, comparator)
-    if thr < 0:
-        raise SimulationError(
-            f"effective threshold {thr:.4g} V is negative; held maxima can "
-            "never fall below it and the counter would run forever"
-        )
-    rhs = thr + drop - opamp
-    if rhs <= 0:
-        raise SimulationError(
-            "held maxima settle above the stop threshold (offset exceeds the "
-            "divider output); the counter would run forever"
-        )
-    decrement = dyn.alpha * dyn.pseudo_period
-    if g * params.v0 > rhs:
-        est = math.log(g * params.v0 / rhs) / decrement
-        m = max(1, int(math.floor(est)) - 2)
-    else:
-        m = 1
-    while captured(m) > thr:
-        m += 1
-    m_star = m
-
-    n = m_star if config.convention is Convention.FIRST_AT_OR_BELOW else m_star - 1
-    if n < 1:
-        raise SimulationError(
-            "threshold crossed within the first pseudo-period; no decay "
-            "was observed and the count is undefined"
-        )
-    q = q_from_count_shortcut(n) if config.shortcut else q_from_count(n, config.k)
-    result = MeasurementResult(
-        n=n,
-        q_measured=q,
-        t_measure=n * dyn.pseudo_period,
-        relative_error=(q - params.q) / params.q,
-        threshold_used=thr,
-    )
-    return result, m_star
+_FAILURE_MESSAGES = {
+    Failure.DIVIDER: "divider error {divider:+.3g} wipes out the division ratio entirely",
+    Failure.NO_SIGNAL: (
+        "captured initial amplitude is zero: the peak detector loses the "
+        "signal entirely at f0={f0} Hz with this error budget"
+    ),
+    Failure.NEGATIVE_THRESHOLD: (
+        "effective threshold {thr:.4g} V is negative; held maxima can "
+        "never fall below it and the counter would run forever"
+    ),
+    Failure.UNREACHABLE: (
+        "held maxima settle above the stop threshold (offset exceeds the "
+        "divider output); the counter would run forever"
+    ),
+    Failure.NO_DECAY: (
+        "threshold crossed within the first pseudo-period; no decay "
+        "was observed and the count is undefined"
+    ),
+}
 
 
 def _predict_aligned(params, config, ni, s_div, s_cmp):
-    return _predict_values(
-        params,
-        config,
-        divider=s_div * ni.divider_error,
-        comparator=s_cmp * ni.comparator_offset,
-        opamp=ni.opamp_offset,
-        leak=ni.leak_droop,
-        diode=ni.diode_residual,
-        detector_bandwidth=ni.detector_bandwidth,
-        f_fail=ni.f_fail,
+    """Closed-form measurement with the threshold-side errors at the
+    given signs: a 0-d call of the crossing kernel.  Returns
+    (MeasurementResult, first crossing index m*)."""
+    divider = s_div * ni.divider_error
+    env = detector_envelope(
+        params.q, params.f0, params.v0, ni, ni.opamp_offset, ni.leak_droop, ni.diode_residual
     )
+    c = first_crossing(
+        env, config.k, config.convention, config.shortcut, divider, s_cmp * ni.comparator_offset
+    )
+    thr = float(c.threshold)
+    check_range(c, params.q)
+    if c.status != Failure.NONE.value:
+        message = _FAILURE_MESSAGES[Failure(int(c.status))]
+        raise SimulationError(message.format(divider=divider, f0=params.f0, thr=thr))
+    n = int(c.n)
+    result = MeasurementResult(
+        n=n,
+        q_measured=float(c.q),
+        t_measure=n * float(env.period),
+        relative_error=float(c.error),
+        threshold_used=thr,
+    )
+    return result, int(c.m)
 
 
 def predicted_measurement(
@@ -356,8 +303,8 @@ def predicted_measurement(
     ni: CircuitNonIdealities,
 ) -> MeasurementResult:
     """Closed-form counterpart of :func:`simulate_measurement`: captured
-    maxima and threshold from the capture model, crossing index by
-    analytic scan, no time-domain loop.
+    maxima and threshold from the capture model, crossing index from
+    the crossing kernel, no time-domain loop.
 
     Requires a fixed sign alignment (PLUS or MINUS).
     """
@@ -452,7 +399,7 @@ def simulate_measurement(
                 raise SimulationError(
                     "captured initial amplitude is zero; no threshold can be formed"
                 )
-            thr = _signed_threshold(
+            thr = stop_threshold(
                 captured_v0,
                 config.k,
                 s_div * ni.divider_error,
@@ -473,12 +420,12 @@ def simulate_measurement(
             "in the noise floor"
         )
 
-    n = counted + 1 if config.convention is Convention.FIRST_AT_OR_BELOW else counted
+    n = config.n_from_crossing(counted + 1)
     if n < 1:
         raise SimulationError(
             "threshold crossed within the first pseudo-period; no decay was counted"
         )
-    q = q_from_count_shortcut(n) if config.shortcut else q_from_count(n, config.k)
+    q = config.q_from_n(n)
     result = MeasurementResult(
         n=n,
         q_measured=q,

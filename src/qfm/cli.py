@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import re
 import sys
@@ -34,10 +35,9 @@ from .circuit import (
 )
 from .counting import Convention, MeasurementConfig, theoretical_error_sweep
 from .resonator import ResonatorParams, synth_waveform
-from .tables import format_number
+from .tables import format_number, write_text
 from .waveform_io import (
     InsufficientRecordError,
-    WaveformFormatError,
     extract_peaks,
     fit_q_log_decrement,
     load_waveform,
@@ -68,18 +68,18 @@ _VALUE_RE = re.compile(r"^\s*([-+]?[0-9.][0-9.eE+-]*)\s*([A-Za-zµ%]*)\s*$")
 
 
 def parse_value(text) -> float:
-    """Float with optional SI unit suffix: '50kHz' -> 5e4, '10mV' -> 0.01."""
+    """Finite float with optional SI unit suffix: '50kHz' -> 5e4, '10mV' -> 0.01."""
     if isinstance(text, (int, float)):
-        return float(text)
-    m = _VALUE_RE.match(text)
-    if m:
-        num, suffix = m.groups()
-        if suffix in _SI_SUFFIXES:
-            try:
-                return float(num) * _SI_SUFFIXES[suffix]
-            except ValueError:
-                pass
-    raise ValueError(f"cannot parse numeric value {text!r}")
+        value = float(text)
+    else:
+        m = _VALUE_RE.match(text)
+        try:
+            value = float(m[1]) * _SI_SUFFIXES[m[2]]
+        except (TypeError, KeyError, ValueError):  # no match, unknown suffix, bad number
+            raise ValueError(f"cannot parse numeric value {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"numeric value {text!r} is not finite")
+    return value
 
 
 def parse_axis(text) -> np.ndarray:
@@ -149,7 +149,7 @@ class RunConfig:
                 raise ValueError(f"boolean key {key!r} got {raw!r}")
             setattr(self, key, text in ("true", "1", "yes"))
         elif key in self._INT_KEYS:
-            setattr(self, key, int(float(str(raw))))
+            setattr(self, key, int(parse_value(str(raw))))
         elif key in {f.name for f in dataclasses.fields(self)}:
             setattr(self, key, parse_value(raw))
         else:
@@ -437,11 +437,7 @@ def cmd_measure(ns) -> int:
 
 def cmd_dump_config(ns) -> int:
     config, _ = _resolve_config(ns)
-    text = config.dump()
-    if getattr(ns, "out", None):
-        Path(ns.out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+    write_text(getattr(ns, "out", None) or sys.stdout, config.dump())
     return EXIT_OK
 
 
@@ -454,6 +450,16 @@ _DISPATCH = {
 }
 
 
+# exit code per exception family, first match wins (WaveformFormatError is a ValueError)
+_EXIT_CODES = {
+    InsufficientRecordError: EXIT_RECORD,
+    SimulationError: EXIT_SIM,
+    ValueError: EXIT_CONFIG,
+    KeyError: EXIT_CONFIG,
+    OSError: EXIT_IO,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -462,21 +468,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[ns.command](ns)
-    except WaveformFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InsufficientRecordError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RECORD
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIM
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entry() -> None:

@@ -1,4 +1,4 @@
-"""Idealized pseudo-period-counting quality-factor measurement.
+"""Pseudo-period-counting quality-factor measurement.
 
 The measurement counts the number n of pseudo-periods the ring-down
 envelope needs to fall from its initial value V0 to the fixed fraction
@@ -13,10 +13,20 @@ provided: FIRST_AT_OR_BELOW counts through the terminating
 pseudo-period, LAST_ABOVE stops one earlier.  A peak exactly equal to
 the threshold counts as "at or below", which keeps the two conventions
 exactly one count apart everywhere.
+
+Every closed-form count in the package goes through one kernel:
+:class:`Envelope` models the held maxima of a peak detector (ideal by
+default) over any shape of Q and of the detector-side error values, and
+:func:`first_crossing` finds, per cell, the first maximum at or below
+the stop threshold, broadcast over k and the threshold-side errors.
+Cells the measurement cannot complete carry a :class:`Failure` code
+instead of raising, so one call covers a whole sweep grid; the scalar
+APIs are 0-d calls of the same kernel.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -24,13 +34,17 @@ from typing import Optional
 
 import numpy as np
 
-from .resonator import ResonatorParams, derive_dynamics, peak_value
+from .resonator import ResonatorParams
 from .tables import SweepTable
 
 __all__ = [
     "Convention",
     "MeasurementConfig",
     "MeasurementResult",
+    "Failure",
+    "Envelope",
+    "Crossing",
+    "first_crossing",
     "q_from_count",
     "q_from_count_shortcut",
     "count_pseudo_periods",
@@ -38,12 +52,28 @@ __all__ = [
     "theoretical_error_sweep",
 ]
 
+_FOUR_PI_SQ = 4.0 * math.pi**2
+# crossing indices past this would overflow the int64 count arithmetic
+_MAX_INDEX = 2.0**62
+
 
 class Convention(enum.Enum):
     """How the reported n relates to the first maximum at or below V0/k."""
 
     FIRST_AT_OR_BELOW = "first_at_or_below"
     LAST_ABOVE = "last_above"
+
+
+def check_k(k) -> np.ndarray:
+    """k as a float array of finite values > 1, at least one of them."""
+    k = np.asarray(k, dtype=float)
+    if not k.size:
+        raise ValueError("no division factor k given")
+    if not np.all(np.isfinite(k)):
+        raise ValueError(f"k must be finite (got {k.tolist()})")
+    if not np.all(k > 1.0):
+        raise ValueError(f"k must be > 1 (got {k.tolist()}); ln k would be <= 0")
+    return k
 
 
 @dataclass(frozen=True)
@@ -56,10 +86,16 @@ class MeasurementConfig:
     shortcut: bool = False
 
     def __post_init__(self):
-        if not self.k > 1.0:
-            raise ValueError(
-                f"k must be > 1 (got {self.k}); ln k would be <= 0"
-            )
+        check_k(self.k)
+
+    def n_from_crossing(self, m_star):
+        """The count n when maximum ``m_star`` is the first at or below
+        the threshold."""
+        return m_star if self.convention is Convention.FIRST_AT_OR_BELOW else m_star - 1
+
+    def q_from_n(self, n):
+        """Q from a count of n, by the 2n shortcut or the closed form."""
+        return q_from_count_shortcut(n) if self.shortcut else q_from_count(n, self.k)
 
 
 @dataclass(frozen=True)
@@ -77,52 +113,198 @@ class MeasurementResult:
     threshold_used: Optional[float] = None
 
 
-def q_from_count(n, k: float):
-    """Quality factor recovered from a count of n pseudo-periods down to
-    the V0/k threshold: (1/2) sqrt(1 + 4 pi^2 n^2 / ln(k)^2).
+def _ln_sq(k):
+    """ln(k)^2 by math.log and float power, element by element: numpy's
+    log and square differ from them in the last bit for some k, and the
+    count-to-Q conversion must not depend on which path computed it."""
+    if np.ndim(k) == 0:
+        return math.log(k) ** 2
+    return np.frompyfunc(lambda v: math.log(v) ** 2, 1, 1)(k).astype(float)
 
-    Accepts a scalar count or an integer array.
-    """
+
+def _check_count(n) -> np.ndarray:
     n = np.asarray(n)
     if not np.issubdtype(n.dtype, np.integer):
         raise ValueError(f"n must be an integer count (got {n.dtype})")
     if np.any(n < 1):
         raise ValueError("n must be >= 1: with no elapsed pseudo-period the measurement is undefined")
-    if not k > 1.0:
-        raise ValueError(f"k must be > 1 (got {k})")
-    lnk = math.log(k)
-    q = 0.5 * np.sqrt(1.0 + 4.0 * math.pi**2 * n.astype(float) ** 2 / lnk**2)
+    return n.astype(float)
+
+
+def q_from_count(n, k):
+    """Quality factor recovered from a count of n pseudo-periods down to
+    the V0/k threshold: (1/2) sqrt(1 + 4 pi^2 n^2 / ln(k)^2).
+
+    Accepts a scalar count or an integer array, and k broadcast against it.
+    """
+    q = _closed_form_q(_check_count(n), check_k(k))
     return float(q) if q.ndim == 0 else q
+
+
+def _closed_form_q(n, k):
+    """Q of float counts n at division factor(s) k, unchecked."""
+    return 0.5 * np.sqrt(1.0 + _FOUR_PI_SQ * n**2 / _ln_sq(k))
 
 
 def q_from_count_shortcut(n):
     """Count-to-Q conversion by doubling, exact for k = 4.81 where
     ln k matches pi/2 to four digits; returns 2 n."""
-    n = np.asarray(n)
-    if not np.issubdtype(n.dtype, np.integer):
-        raise ValueError(f"n must be an integer count (got {n.dtype})")
-    if np.any(n < 1):
-        raise ValueError("n must be >= 1")
-    out = 2.0 * n.astype(float)
-    return float(out) if out.ndim == 0 else out
+    q = 2.0 * _check_count(n)
+    return float(q) if q.ndim == 0 else q
 
 
-def _first_peak_at_or_below(params: ResonatorParams, threshold: float) -> int:
-    """Smallest m >= 1 with peak_value(params, m) <= threshold.
+# ---------------------------------------------------------------------------
+# crossing kernel
 
-    Jump-starts from the closed-form crossing index, then settles the
-    exact count with the same peak_value comparisons a brute-force scan
-    would use, so ties resolve identically.
+
+class Failure(enum.IntEnum):
+    """Why a closed-form measurement cannot complete; NONE when it can.
+
+    The order is the order of the checks: a cell reports the first one
+    it fails.  Status arrays hold the plain values (numpy handles an enum
+    member as a generic object, which is slow on small arrays).
     """
-    dyn = derive_dynamics(params)
-    decrement = dyn.alpha * dyn.pseudo_period
-    if threshold >= params.v0:
-        return 1
-    est = math.log(params.v0 / threshold) / decrement
-    m = max(1, int(math.floor(est)) - 2)
-    while peak_value(params, m) > threshold:
-        m += 1
-    return m
+
+    NONE = 0
+    DIVIDER = 1  # 1 + divider error <= 0 leaves no division ratio
+    NO_SIGNAL = 2  # the captured initial amplitude is zero
+    NEGATIVE_THRESHOLD = 3  # held maxima can never fall below it
+    UNREACHABLE = 4  # held maxima settle above the threshold
+    NO_DECAY = 5  # the convention's count is below 1
+    COUNT_RANGE = 6  # the crossing index overflows the count arithmetic
+
+
+class Envelope:
+    """Held maxima of ring-downs at f0 [Hz] from v0 [V], over broadcast
+    arrays of Q and of the detector-side signed errors (opamp offset,
+    leak droop, diode residual):
+
+        captured(m) = max(0, v0 exp(-alpha m T) gain - drop + opamp)
+
+    with drop = diode * diode_ramp + leak * T, where ``gain`` is the
+    detector's tracking gain at f0 and ``diode_ramp`` the uncancelled
+    fraction of the diode residual; the defaults describe an ideal
+    detector.  No term depends on k or on the threshold-side errors, so
+    one envelope serves every division factor of a sweep.
+    """
+
+    def __init__(self, q, f0=1.0, v0=1.0, gain=1.0, diode_ramp=0.0, opamp=0.0, leak=0.0, diode=0.0):
+        self.q = np.asarray(q, dtype=float)
+        self.v0, self.gain = v0, gain
+        w0 = 2.0 * math.pi * f0
+        self.alpha = w0 / (2.0 * self.q)
+        self.period = 2.0 * math.pi / (w0 * np.sqrt(1.0 - 1.0 / (4.0 * self.q * self.q)))
+        self.drop = diode * diode_ramp + leak * self.period
+        self.opamp = np.asarray(opamp, dtype=float)
+        self.v0_captured = self.captured(0)
+
+    def captured(self, m):
+        """Held value of maximum m (an integer or integer array)."""
+        peak = self.v0 * np.exp(-self.alpha * (m * self.period))
+        return np.maximum(0.0, peak * self.gain - self.drop + self.opamp)
+
+    def at(self, index, shape) -> "Envelope":
+        """The envelope at the cells ``index`` of its broadcast to ``shape``."""
+        sub = copy.copy(self)
+        for name in ("alpha", "period", "drop", "opamp"):
+            setattr(sub, name, np.broadcast_to(getattr(self, name), shape)[index])
+        return sub
+
+
+def stop_threshold(v0_captured, k, divider, comparator):
+    """Threshold the comparator applies: the captured V0 over the
+    divider's actual ratio k (1 + divider), plus the comparator offset."""
+    return v0_captured / (k * (1.0 + divider)) + comparator
+
+
+@dataclass(frozen=True)
+class Crossing:
+    """Per-cell outcome of :func:`first_crossing`.
+
+    ``m`` is the first maximum at or below ``threshold`` and ``n`` the
+    count the convention derives from it; ``q`` and ``error`` are the
+    measured Q and its relative error, NaN wherever ``status`` is not
+    ``Failure.NONE``.
+    """
+
+    m: np.ndarray
+    n: np.ndarray
+    q: np.ndarray
+    error: np.ndarray
+    threshold: np.ndarray
+    status: np.ndarray
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self.status == Failure.NONE.value
+
+
+def first_crossing(
+    env: Envelope,
+    k,
+    convention: Convention = Convention.LAST_ABOVE,
+    shortcut: bool = False,
+    divider=0.0,
+    comparator=0.0,
+) -> Crossing:
+    """Which held maximum first falls to the stop threshold, and the Q
+    the measurement reports from it, for every cell of the broadcast of
+    the envelope with k and the signed divider and comparator errors.
+
+    Each cell starts from the closed-form estimate
+    m = max(1, ceil(ln(gain v0 / (thr + drop - opamp)) / (alpha T)))
+    and is settled with the same comparisons a scan over the maxima
+    makes, so ties resolve as they would in a scan: a cell is settled
+    when captured(m) <= thr and (m = 1 or captured(m - 1) > thr).  Only
+    the cells the estimate misses are stepped further.  k must be > 1.
+    """
+    k = np.asarray(k, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        threshold = stop_threshold(env.v0_captured, k, divider, comparator)
+        rhs = threshold + env.drop - env.opamp
+        status = np.where(rhs <= 0, Failure.UNREACHABLE.value, Failure.NONE.value)
+        status = np.where(threshold < 0, Failure.NEGATIVE_THRESHOLD.value, status)
+        status = np.where(env.v0_captured <= 0, Failure.NO_SIGNAL.value, status)
+        status = np.where(np.asarray(1.0 + divider) <= 0, Failure.DIVIDER.value, status)
+        top = env.v0 * env.gain
+        est = np.log(top / np.where(status == 0, rhs, top)) / (env.alpha * env.period)
+    status = np.where((status == 0) & ~(est < _MAX_INDEX), Failure.COUNT_RANGE.value, status)
+    m = np.array(np.maximum(1.0, np.ceil(np.where(status == 0, est, 1.0))), dtype=np.int64)
+    _settle(env, m, threshold, status == 0)
+
+    n = m if convention is Convention.FIRST_AT_OR_BELOW else m - 1
+    status = np.where((status == 0) & (n < 1), Failure.NO_DECAY.value, status)
+    valid = status == 0
+    counts = np.maximum(n, 1).astype(float)
+    q = np.where(valid, 2.0 * counts if shortcut else _closed_form_q(counts, k), np.nan)
+    return Crossing(m, n, q, (q - env.q) / env.q, threshold, status)
+
+
+def _settle(env: Envelope, m: np.ndarray, threshold, todo) -> None:
+    """Step each estimate in ``m``, in place, to the first maximum at or
+    below the threshold.  Held maxima fall monotonically with m, so each
+    cell moves one way until its comparisons settle; after one pass over
+    the whole grid, only the cells the estimate missed are evaluated."""
+
+    def step(env, m, threshold):
+        above = env.captured(m) > threshold
+        return above.astype(np.int64) - (~above & (m > 1) & (env.captured(m - 1) <= threshold))
+
+    first = step(env, m, threshold)
+    cells = np.flatnonzero(todo & (first != 0))
+    if not cells.size:
+        return
+    shape = m.shape or (1,)
+    index = np.unravel_index(cells, shape)
+    sub = env.at(index, shape)
+    thr = np.broadcast_to(threshold, shape)[index]
+    mm = m.reshape(-1)[cells] + first.reshape(-1)[cells]
+    while True:
+        delta = step(sub, mm, thr)
+        if not delta.any():
+            break
+        mm += delta
+    m.reshape(-1)[cells] = mm
 
 
 def count_pseudo_periods(params: ResonatorParams, config: MeasurementConfig) -> int:
@@ -132,10 +314,15 @@ def count_pseudo_periods(params: ResonatorParams, config: MeasurementConfig) -> 
     The count depends only on q and k; it always exists because the
     maxima decay to zero.
     """
-    m_star = _first_peak_at_or_below(params, params.v0 / config.k)
-    if config.convention is Convention.FIRST_AT_OR_BELOW:
-        return m_star
-    return m_star - 1
+    crossing = first_crossing(Envelope(params.q, params.f0, params.v0), config.k, config.convention)
+    check_range(crossing, params.q)
+    return int(crossing.n)
+
+
+def check_range(crossing: Crossing, q) -> None:
+    """Raise ValueError where a count would overflow the count arithmetic."""
+    if np.any(crossing.status == Failure.COUNT_RANGE.value):
+        raise ValueError(f"q={q} is out of range: the count would overflow")
 
 
 def theoretical_error(q_true: float, config: MeasurementConfig) -> float:
@@ -143,14 +330,36 @@ def theoretical_error(q_true: float, config: MeasurementConfig) -> float:
 
     Quantization of the count is the only error source on this path.
     """
-    params = ResonatorParams(f0=1.0, q=q_true, v0=1.0)
-    n = count_pseudo_periods(params, config)
-    if n < 1:
+    ResonatorParams(f0=1.0, q=q_true)  # validates q_true
+    crossing = first_crossing(Envelope(q_true), config.k, config.convention)
+    check_range(crossing, q_true)
+    if crossing.status == Failure.NO_DECAY.value:
         raise ValueError(
             f"measurement degenerate at q={q_true}, k={config.k}: "
             "the first maximum is already at or below the threshold"
         )
-    return (q_from_count(n, config.k) - q_true) / q_true
+    return float(crossing.error)
+
+
+def expand_range(q_range) -> np.ndarray:
+    """Q grid from a (min, max, step) range, endpoints inclusive."""
+    lo, hi, step = q_range
+    if not (lo > 0.5 and hi >= lo and step > 0 and math.isfinite(hi) and math.isfinite(step)):
+        raise ValueError(
+            f"invalid range {q_range!r}: need 0.5 < min <= max and step > 0, all finite"
+        )
+    return np.arange(lo, hi + step / 2.0, step)
+
+
+def error_table(ks, qs, n, q_measured, error, valid) -> SweepTable:
+    """The (k, q_true, n, q_measured, rel_error) table of a (k x Q) grid
+    of results, scan ordered (outer loop k); invalid cells are NA."""
+    na = ~np.asarray(valid)
+    table = SweepTable(columns=("k", "q_true", "n", "q_measured", "rel_error"))
+    table.extend(
+        np.repeat(ks, qs.size), np.tile(qs, ks.size), n, q_measured, error, na=(None, None, na, na, na)
+    )
+    return table
 
 
 def theoretical_error_sweep(k_values, q_range, convention: Convention = Convention.LAST_ABOVE) -> SweepTable:
@@ -159,28 +368,7 @@ def theoretical_error_sweep(k_values, q_range, convention: Convention = Conventi
     q_range is (min, max, step), endpoints inclusive.  Rows are scan
     ordered: outer loop k, inner loop q_true.
     """
-    k_values = list(k_values)
-    if not k_values:
-        raise ValueError("k_values must be non-empty")
-    qs = _expand_range(q_range)
-    table = SweepTable(columns=("k", "q_true", "n", "q_measured", "rel_error"))
-    for k in k_values:
-        config = MeasurementConfig(k=k, convention=convention)
-        for q_true in qs:
-            params = ResonatorParams(f0=1.0, q=q_true, v0=1.0)
-            n = count_pseudo_periods(params, config)
-            if n < 1:
-                table.append(k, q_true, None, None, None)
-                continue
-            qm = q_from_count(n, k)
-            table.append(k, q_true, n, qm, (qm - q_true) / q_true)
-    return table
-
-
-def _expand_range(q_range) -> np.ndarray:
-    lo, hi, step = q_range
-    if not (lo > 0.5 and hi >= lo and step > 0):
-        raise ValueError(
-            f"invalid range {q_range!r}: need 0.5 < min <= max and step > 0"
-        )
-    return np.arange(lo, hi + step / 2.0, step)
+    ks = check_k(list(k_values))
+    qs = expand_range(q_range)
+    c = first_crossing(Envelope(qs), ks[:, None], convention)
+    return error_table(ks, qs, c.n, c.q, c.error, c.valid)

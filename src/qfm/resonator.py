@@ -49,13 +49,13 @@ class ResonatorParams:
     v0: float = 1.0
 
     def __post_init__(self):
-        if not self.f0 > 0:
-            raise ValueError(f"f0 must be > 0 Hz (got {self.f0})")
-        if not self.v0 > 0:
-            raise ValueError(f"v0 must be > 0 V (got {self.v0})")
-        if not self.q > 0.5:
+        if not 0 < self.f0 < math.inf:
+            raise ValueError(f"f0 must be finite and > 0 Hz (got {self.f0})")
+        if not 0 < self.v0 < math.inf:
+            raise ValueError(f"v0 must be finite and > 0 V (got {self.v0})")
+        if not 0.5 < self.q < math.inf:
             raise ValueError(
-                f"q must be > 0.5 (underdamped regime), got {self.q}"
+                f"q must be finite and > 0.5 (underdamped regime), got {self.q}"
             )
 
 

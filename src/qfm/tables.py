@@ -1,22 +1,21 @@
 """Tabular results surface shared by the sweep operations.
 
-Rows are kept in scan order.  Cells may be None for points where a
-measurement could not complete; those are emitted as the explicit
-marker ``NA`` rather than NaN so downstream CSV consumers can tell a
-failed point from a numeric zero.
+Rows are kept in scan order.  A table stores one numpy array per column
+plus an NA mask for points where a measurement could not complete; NA
+cells are emitted as the explicit marker ``NA`` rather than NaN so
+downstream CSV consumers can tell a failed point from a numeric zero.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SweepTable", "format_number"]
+__all__ = ["SweepTable", "format_number", "write_text"]
 
 NA_MARKER = "NA"
+_CSV_BLOCK = 2048
 
 
 def format_number(x) -> str:
@@ -36,41 +35,97 @@ def format_number(x) -> str:
     return r[:-2] if r.endswith(".0") else r
 
 
-@dataclass
+def _format_column(values: np.ndarray, na: np.ndarray) -> list:
+    """``format_number`` over a whole column."""
+    if values.dtype == bool:
+        cells = ["1" if v else "0" for v in values.tolist()]
+    elif np.issubdtype(values.dtype, np.integer):
+        cells = [str(v) for v in values.tolist()]
+    else:
+        cells = [r[:-2] if r.endswith(".0") else r for r in map(repr, values.tolist())]
+    for i in np.flatnonzero(na).tolist():
+        cells[i] = NA_MARKER
+    return cells
+
+
+def write_text(dest, text: str) -> None:
+    """Write text to a path or a text stream (UTF-8, LF endings)."""
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        Path(dest).write_text(text, encoding="utf-8", newline="\n")
+
+
 class SweepTable:
     """Column-labelled result rows from a parameter sweep."""
 
-    columns: tuple
-    rows: list = field(default_factory=list)
+    def __init__(self, columns, rows=()):
+        self.columns = tuple(columns)
+        # blocks of rows as added: one (values, na) pair per column; the
+        # empty first block's bool dtype gives way to any other on joining
+        empty = np.zeros(0, dtype=bool)
+        self._blocks = [[(empty, empty)] * len(self.columns)]
+        for row in rows:
+            self.append(*row)
 
     def append(self, *values):
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"row has {len(values)} cells, table has {len(self.columns)} columns"
-            )
-        self.rows.append(tuple(values))
-
-    def column(self, name: str) -> np.ndarray:
-        """One column as a float array; None cells come back as NaN."""
-        i = self.columns.index(name)
-        return np.array(
-            [np.nan if r[i] is None else float(r[i]) for r in self.rows]
+        """Add one row; None marks an NA cell."""
+        self.extend(
+            *([False if v is None else v] for v in values), na=[[v is None] for v in values]
         )
 
+    def extend(self, *columns, na=None):
+        """Add a block of rows given as one equal-length array per column;
+        ``na`` holds, per column, None or a boolean mask of its NA cells."""
+        if len(columns) != len(self.columns):
+            raise ValueError(
+                f"row has {len(columns)} cells, table has {len(self.columns)} columns"
+            )
+        block = [
+            (np.ravel(c), np.zeros(np.size(c), dtype=bool) if m is None else np.ravel(m))
+            for c, m in zip(columns, na or [None] * len(columns))
+        ]
+        if len({values.shape for values, _ in block}) > 1:
+            raise ValueError("columns of a block must have equal length")
+        self._blocks.append(block)
+
+    def _data(self) -> list:
+        """One (values, na) pair per column, the blocks joined."""
+        if len(self._blocks) > 1:
+            self._blocks = [[tuple(map(np.concatenate, zip(*pairs))) for pairs in zip(*self._blocks)]]
+        return self._blocks[0]
+
+    def _pair(self, name: str):
+        return self._data()[self.columns.index(name)]
+
+    def column(self, name: str) -> np.ndarray:
+        """One column as a float array; NA cells come back as NaN."""
+        values, na = self._pair(name)
+        return np.where(na, np.nan, values.astype(float))
+
+    def cells(self, name: str) -> list:
+        """One column as Python numbers, None in NA cells."""
+        values, na = self._pair(name)
+        return [None if m else v for v, m in zip(values.tolist(), na.tolist())]
+
+    @property
+    def rows(self) -> list:
+        """Row tuples in scan order, None in NA cells."""
+        return list(zip(*(self.cells(name) for name in self.columns)))
+
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(format_number(v) for v in row) + "\n")
-        return buf.getvalue()
+        # formatted in blocks of rows, so only one block's cells exist at a time
+        data = self._data()
+        lines = [",".join(self.columns)]
+        for start in range(0, len(self), _CSV_BLOCK):
+            rows = slice(start, start + _CSV_BLOCK)
+            cells = zip(*(_format_column(values[rows], na[rows]) for values, na in data))
+            lines.append("\n".join(map(",".join, cells)))
+        return "\n".join(lines) + "\n"
 
     def to_csv(self, dest) -> None:
         """Write the table to a path or text stream (UTF-8, LF endings)."""
-        text = self.to_csv_string()
-        if hasattr(dest, "write"):
-            dest.write(text)
-        else:
-            Path(dest).write_text(text, encoding="utf-8", newline="\n")
+        write_text(dest, self.to_csv_string())
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._data()[0][0]) if self.columns else 0

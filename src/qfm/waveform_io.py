@@ -26,15 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .counting import (
-    Convention,
-    MeasurementConfig,
-    MeasurementResult,
-    q_from_count,
-    q_from_count_shortcut,
-)
+from .counting import MeasurementConfig, MeasurementResult
 from .resonator import Waveform
-from .tables import format_number
+from .tables import SweepTable, format_number, write_text
 
 __all__ = [
     "WaveformFormatError",
@@ -120,11 +114,7 @@ def waveform_to_csv(w: Waveform, dest) -> None:
     buf.write(CSV_HEADER + "\n")
     for i in range(len(w)):
         buf.write(f"{format_number(t[i])},{format_number(w.samples[i])}\n")
-    text = buf.getvalue()
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8", newline="\n")
+    write_text(dest, buf.getvalue())
 
 
 def load_waveform(source) -> Waveform:
@@ -266,17 +256,15 @@ def measure_q_counting(peaks: PeakList, config: MeasurementConfig) -> Measuremen
         if extra is not None:
             msg += f"; approximately {extra:.6g} s more record needed"
         raise InsufficientRecordError(msg, extra_seconds=extra)
-    m_star = int(below[0]) + 1
-    n = m_star if config.convention is Convention.FIRST_AT_OR_BELOW else m_star - 1
+    n = config.n_from_crossing(int(below[0]) + 1)
     if n < 1:
         raise ValueError(
             "measurement degenerate: the first maximum after V0 is already "
             "at or below the threshold"
         )
-    q = q_from_count_shortcut(n) if config.shortcut else q_from_count(n, config.k)
     return MeasurementResult(
         n=n,
-        q_measured=q,
+        q_measured=config.q_from_n(n),
         t_measure=n * spacing,
         relative_error=None,
         threshold_used=threshold,
@@ -317,16 +305,9 @@ def fit_q_log_decrement(peaks: PeakList) -> float:
 
 
 def peaklist_to_csv(peaks: PeakList, dest) -> None:
-    lines = ["m,t,v"]
-    for m in range(len(peaks)):
-        lines.append(
-            f"{m},{format_number(peaks.times[m])},{format_number(peaks.values[m])}"
-        )
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8", newline="\n")
+    table = SweepTable(("m", "t", "v"))
+    table.extend(np.arange(len(peaks)), peaks.times, peaks.values)
+    table.to_csv(dest)
 
 
 def measurement_record(result: MeasurementResult, config: MeasurementConfig) -> str:

@@ -216,3 +216,54 @@ class TestMonteCarlo:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             monte_carlo(self.PARAMS, self.CONFIG, PAIR, trials=0, seed=0)
+
+
+class TestMonteCarloRegression:
+    """Summaries recorded from the per-trial scalar loop the kernel
+    replaced; the kernel must reproduce them exactly."""
+
+    PARAMS = ResonatorParams(F0, 300.0, 1.0)
+
+    def test_shortcut_reports_twice_the_count(self):
+        s = monte_carlo(
+            self.PARAMS, MeasurementConfig(6.0, shortcut=True), PAIR, trials=2000, seed=4
+        )
+        # with Q = 2n every measured Q is an even integer
+        for e in (s.min_error, s.max_error):
+            q = 300.0 * (1.0 + e)
+            assert q == pytest.approx(round(q), abs=1e-9) and round(q) % 2 == 0
+        assert (s.failures, s.mean_error, s.std_error) == (0, 0.13763, 0.022685403775212915)
+        assert (s.min_error, s.max_error) == (0.09333333333333334, 0.18)
+        assert s.hist_counts == (
+            5, 83, 0, 195, 186, 0, 181, 167, 0, 173, 160, 0, 182, 148, 0, 184, 168, 0, 119, 49
+        )
+
+    def test_gaussian_divider_wipeouts_are_failures(self):
+        ni = CircuitNonIdealities(comparator_offset=10e-3, divider_error=0.9)
+        s = monte_carlo(
+            self.PARAMS, MeasurementConfig(6.0), ni, trials=3000, seed=7, distribution="gaussian"
+        )
+        draws = np.random.default_rng(7).standard_normal(size=(3000, 5))
+        wiped = int(np.sum(1.0 + 0.9 * draws[:, 0] <= 0))
+        assert wiped > 0 and s.failures >= wiped
+        assert s.failures == 515
+        assert (s.mean_error, s.std_error) == (0.0332216610845807, 0.3562449814638868)
+        assert (s.min_error, s.max_error) == (-0.9939224839510256, 0.9579151821326923)
+        assert s.hist_counts == (
+            27, 36, 48, 48, 77, 83, 112, 139, 167, 222, 247, 287, 320, 286, 187, 126, 49, 17, 4, 3
+        )
+        assert sum(s.hist_counts) == 3000 - s.failures
+
+    def test_summary_does_not_depend_on_the_block_size(self, monkeypatch):
+        from qfm import analysis
+
+        for distribution in ("uniform", "gaussian"):
+            whole = monte_carlo(
+                self.PARAMS, MeasurementConfig(6.0), PAIR, 1000, seed=2, distribution=distribution
+            )
+            monkeypatch.setattr(analysis, "_MC_BLOCK", 7)
+            blocked = monte_carlo(
+                self.PARAMS, MeasurementConfig(6.0), PAIR, 1000, seed=2, distribution=distribution
+            )
+            monkeypatch.undo()
+            assert blocked == whole

@@ -313,3 +313,14 @@ class TestOracleEquivalence:
         assert ni.worst_case_sign is SignAlignment.PLUS
         ni_minus = pessimistic_nonidealities(SignAlignment.MINUS)
         assert ni_minus.worst_case_sign is SignAlignment.MINUS
+
+    def test_nonidealities_reject_non_finite(self):
+        for name in ("comparator_offset", "opamp_offset", "leak_droop", "diode_residual", "noise_rms"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    CircuitNonIdealities(**{name: bad})
+        for name in ("divider_error", "f_fail", "detector_bandwidth"):
+            with pytest.raises(ValueError):
+                CircuitNonIdealities(**{name: math.nan})
+        # an unlimited bandwidth or failure knee is the ideal detector
+        CircuitNonIdealities(detector_bandwidth=math.inf, f_fail=math.inf)

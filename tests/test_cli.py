@@ -271,3 +271,34 @@ class TestConfigFile:
         assert code == 0
         assert "f0 = 50000" in out
         assert "convention = last_above" in out
+
+
+class TestNonFiniteInput:
+    def test_parse_value_rejects_non_finite(self):
+        for bad in ("1e400", "-1e400", "1e400kHz", float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                parse_value(bad)
+
+    def test_simulate_huge_q_exits_2(self, capsys):
+        code, out, err = run(capsys, "simulate", "--q", "1e400")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "finite" in err
+
+    def test_theoretical_sweep_huge_k_exits_2(self, capsys, tmp_path):
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run(
+            capsys, "sweep", "theoretical", "--k", "1e400", "--q", "300", "--out", str(out_csv)
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "finite" in err
+        assert not out_csv.exists()
+
+    def test_config_file_non_finite_exits_2(self, capsys, tmp_path):
+        for line in ("q = 1e400\n", "seed = 1e400\n"):
+            cfg = tmp_path / "inf.cfg"
+            cfg.write_text(line)
+            code, _, err = run(capsys, "simulate", "--config", str(cfg))
+            assert code == 2
+            assert len(err.strip().splitlines()) == 1

@@ -59,6 +59,11 @@ class TestQFromCount:
         qs = np.array([q_from_count(50, k) for k in ks])
         assert np.all(np.diff(qs) < 0)
 
+    def test_config_rejects_non_finite_k(self):
+        for k in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                MeasurementConfig(k)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             q_from_count(0, 6.0)

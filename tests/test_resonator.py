@@ -86,6 +86,16 @@ class TestDerivedDynamics:
         assert all(a > b for a, b in zip(products, products[1:]))
         assert products[-1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_non_finite_params_rejected(self):
+        for kwargs in (
+            dict(f0=math.inf, q=300.0),
+            dict(f0=1.0, q=math.inf),
+            dict(f0=1.0, q=math.nan),
+            dict(f0=1.0, q=300.0, v0=math.inf),
+        ):
+            with pytest.raises(ValueError):
+                ResonatorParams(**kwargs)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             ResonatorParams(f0=0.0, q=10.0)
