@@ -25,9 +25,9 @@ imperfect:
 All magnitudes are stored unsigned; ``worst_case_sign`` selects whether
 the threshold-side errors (divider and comparator) enter with +1, -1, or
 independently drawn signs.  Two evaluation paths are provided and are
-required to agree to within one count: ``simulate_measurement`` runs the
-fixed-step time-domain loop, ``predicted_measurement`` evaluates the
-same model in closed form.
+required to agree to within one count: ``simulate_measurement`` samples
+the ring-down and evaluates every recovered clock cycle in one array
+pass, ``predicted_measurement`` evaluates the same model in closed form.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -177,30 +178,27 @@ def _diode_ramp(f0: float, f_fail: float) -> float:
     return min(1.0, max(0.0, f0 / f_fail - 1.0))
 
 
-def capture_model(
-    true_peak: float,
-    f0: float,
-    ni: CircuitNonIdealities,
-    hold_interval: float,
-) -> float:
+def capture_model(true_peak, f0: float, ni: CircuitNonIdealities, hold_interval):
     """Peak-detector output for a cycle maximum of ``true_peak`` volts.
 
     The detector tracks with a first-order magnitude roll-off, loses the
     uncancelled diode residual above its cancellation limit, droops at
     the leak rate over the hold interval and carries the static opamp
-    offset.  The output is floored at 0 V.
+    offset.  The output is floored at 0 V.  ``true_peak`` and
+    ``hold_interval`` broadcast; scalars give a float.
     """
-    if true_peak < 0:
+    peak = np.asarray(true_peak, dtype=float)
+    hold = np.asarray(hold_interval, dtype=float)
+    if np.any(peak < 0):
         raise ValueError(f"true_peak must be >= 0 V (got {true_peak})")
     if f0 <= 0:
         raise ValueError(f"f0 must be > 0 Hz (got {f0})")
-    if hold_interval < 0:
+    if np.any(hold < 0):
         raise ValueError(f"hold_interval must be >= 0 s (got {hold_interval})")
-    drop = ni.diode_residual * _diode_ramp(f0, ni.f_fail) + ni.leak_droop * hold_interval
-    return max(
-        0.0,
-        true_peak * _tracking_gain(f0, ni.detector_bandwidth) - drop + ni.opamp_offset,
-    )
+    drop = ni.diode_residual * _diode_ramp(f0, ni.f_fail) + ni.leak_droop * hold
+    out = peak * _tracking_gain(f0, ni.detector_bandwidth) - drop + ni.opamp_offset
+    out = np.where(out > 0.0, out, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def effective_threshold(
@@ -321,16 +319,29 @@ def predicted_measurement(
 # ---------------------------------------------------------------------------
 # time-domain path
 
+# Largest record the simulator synthesizes: 2**24 samples is 134 MB per
+# float64 array, a few of which are live at once.
+MAX_SIM_SAMPLES = 2**24
+
+_NO_STOP = (
+    "signal decayed to the end of the simulation budget without the "
+    "stop logic completing; the threshold is unreachable or buried "
+    "in the noise floor"
+)
+
 
 def _rising_edges(v: np.ndarray, hysteresis: float) -> np.ndarray:
     """Clock-comparator rising edges: sample indices where the input
     leaves the +/-hysteresis dead band upward after having been below it.
     """
     h = hysteresis
-    state = np.where(v > h, 1, np.where(v < -h, -1, 0))
+    state = np.zeros(v.size, dtype=np.int8)
+    state[v < -h] = -1
+    state[v > h] = 1
     if state[0] == 0:
         state[0] = 1 if v[0] > 0 else -1
-    idx = np.where(state != 0, np.arange(v.size), 0)
+    idx = np.arange(v.size)
+    idx[state == 0] = 0
     np.maximum.accumulate(idx, out=idx)
     held = state[idx]
     return np.nonzero((held[1:] == 1) & (held[:-1] == -1))[0] + 1
@@ -343,15 +354,17 @@ def simulate_measurement(
     samples_per_period: int = 50,
     seed: int = 0,
 ):
-    """Fixed-step run of the counting architecture over a synthesized
+    """Sampled run of the counting architecture over a synthesized
     ring-down.  Returns (MeasurementResult, SimTrace).
 
     The clock is recovered from signed zero crossings of the input, each
     clock cycle's sample maximum goes through the capture model and the
     detector is then reset, cycle 0's captured value defines V0, and the
     counter runs while captured maxima exceed the effective threshold.
-    Deterministic for a given seed (which drives the input noise and, for
-    INDEPENDENT alignment, the error signs).
+    Every recovered cycle is evaluated at once; the trace holds cycles 0
+    up to the one that stopped the counter.  Deterministic for a given
+    seed (which drives the input noise and, for INDEPENDENT alignment,
+    the error signs).
     """
     if samples_per_period < 20:
         raise ValueError(
@@ -365,62 +378,48 @@ def simulate_measurement(
     # Closed-form crossing index sizes the sample buffer; the pathological
     # never-stops configurations surface here as SimulationError.
     _, m_star = _predict_aligned(params, config, ni, s_div, s_cmp)
-    budget_cycles = m_star + 8
-
     sample_rate = samples_per_period * params.f0
-    wave = synth_waveform(
-        params,
-        sample_rate,
-        (budget_cycles + 2) * dyn.pseudo_period,
-        noise_rms=ni.noise_rms,
-        seed=noise_seed,
-    )
+    duration = (m_star + 10) * dyn.pseudo_period
+    n_samples = round(duration * sample_rate)
+    if n_samples > MAX_SIM_SAMPLES:
+        raise SimulationError(
+            f"the run needs {n_samples} samples ({n_samples * 8e-6:.0f} MB per "
+            f"float64 array), over the simulator's budget of {MAX_SIM_SAMPLES} samples"
+        )
+    wave = synth_waveform(params, sample_rate, duration, noise_rms=ni.noise_rms, seed=noise_seed)
     v = wave.samples
 
     edges = _rising_edges(v, 4.0 * ni.noise_rms)
-    bounds = np.concatenate(([0], edges))
+    if edges.size == 0:
+        raise SimulationError(_NO_STOP)
+    # cycle j spans samples starts[j] .. starts[j + 1] - 1; the samples
+    # after the last edge belong to no complete cycle
+    starts = np.concatenate(([0], edges[:-1]))
+    end = int(edges[-1])
+    lengths = np.diff(edges, prepend=0)
+    seg_max = np.maximum.reduceat(v[:end], starts)
+    hits = np.flatnonzero(v[:end] == np.repeat(seg_max, lengths))
+    first = hits[np.searchsorted(hits, starts)]  # first sample at its cycle's maximum
+    true_pk = v[first]
+    captured = capture_model(
+        np.where(true_pk < 0.0, 0.0, true_pk), params.f0, ni, lengths / sample_rate
+    )
 
-    rows = []
-    captured_v0 = None
-    thr = None
-    counted = 0
-    stopped = False
-    for j in range(bounds.size - 1):
-        a, b = int(bounds[j]), int(bounds[j + 1])
-        seg = v[a:b]
-        i_rel = int(np.argmax(seg))
-        true_pk = float(seg[i_rel])
-        hold = (b - a) / sample_rate
-        captured = capture_model(max(true_pk, 0.0), params.f0, ni, hold)
-        t_pk = (a + i_rel) / sample_rate
-        if j == 0:
-            captured_v0 = captured
-            if captured_v0 <= 0:
-                raise SimulationError(
-                    "captured initial amplitude is zero; no threshold can be formed"
-                )
-            thr = stop_threshold(
-                captured_v0,
-                config.k,
-                s_div * ni.divider_error,
-                s_cmp * ni.comparator_offset,
-            )
-            rows.append(TraceRow(0, t_pk, true_pk, captured, thr, captured > thr))
-            continue
-        enable = captured > thr
-        rows.append(TraceRow(j, t_pk, true_pk, captured, thr, enable))
-        if not enable:
-            stopped = True
-            break
-        counted += 1
-    if not stopped:
+    captured_v0 = float(captured[0])
+    if captured_v0 <= 0:
         raise SimulationError(
-            "signal decayed to the end of the simulation budget without the "
-            "stop logic completing; the threshold is unreachable or buried "
-            "in the noise floor"
+            "captured initial amplitude is zero; no threshold can be formed"
         )
+    thr = stop_threshold(
+        captured_v0, config.k, s_div * ni.divider_error, s_cmp * ni.comparator_offset
+    )
+    enable = captured > thr
+    disabled = np.flatnonzero(~enable[1:])
+    if disabled.size == 0:
+        raise SimulationError(_NO_STOP)
+    stop = int(disabled[0]) + 1  # cycles 1 .. stop - 1 were counted
 
-    n = config.n_from_crossing(counted + 1)
+    n = config.n_from_crossing(stop)
     if n < 1:
         raise SimulationError(
             "threshold crossed within the first pseudo-period; no decay was counted"
@@ -433,4 +432,14 @@ def simulate_measurement(
         relative_error=(q - params.q) / params.q,
         threshold_used=thr,
     )
+    cut = slice(0, stop + 1)
+    rows = list(map(
+        TraceRow,
+        range(stop + 1),
+        (first[cut] / sample_rate).tolist(),
+        true_pk[cut].tolist(),
+        captured[cut].tolist(),
+        repeat(thr, stop + 1),
+        enable[cut].tolist(),
+    ))
     return result, SimTrace(rows=rows, captured_v0=captured_v0, threshold=thr)

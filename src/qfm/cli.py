@@ -33,7 +33,13 @@ from .circuit import (
     pessimistic_nonidealities,
     simulate_measurement,
 )
-from .counting import Convention, MeasurementConfig, theoretical_error_sweep
+from .counting import (
+    Convention,
+    MeasurementConfig,
+    check_grid_size,
+    inclusive_range,
+    theoretical_error_sweep,
+)
 from .resonator import ResonatorParams, synth_waveform
 from .tables import format_number, write_text
 from .waveform_io import (
@@ -101,11 +107,12 @@ def parse_axis(text) -> np.ndarray:
                 points = int(mode[3:])
                 if points < 2:
                     raise ValueError(f"log point count must be >= 2 in {text!r}")
+                check_grid_size(points, f"range {text!r}")
             return np.logspace(np.log10(lo), np.log10(hi), points)
         step = parse_value(mode)
         if step <= 0 or hi < lo:
             raise ValueError(f"range needs lo <= hi and step > 0, got {text!r}")
-        return np.arange(lo, hi + step / 2.0, step)
+        return inclusive_range(lo, hi, step)
     if "," in text:
         return np.array([parse_value(p) for p in text.split(",") if p.strip()])
     return np.array([parse_value(text)])
@@ -123,6 +130,7 @@ class RunConfig:
     shortcut: bool = False
     offset: float = 0.0
     dk: float = 0.0
+    opamp: float = 0.0
     leak: float = 0.0
     diode: float = 0.0
     fbw: float = 1e6
@@ -138,7 +146,7 @@ class RunConfig:
     _INT_KEYS = ("spp", "seed")
     _STR_KEYS = ("convention", "sign")
     _BOOL_KEYS = ("shortcut",)
-    NONIDEALITY_KEYS = ("offset", "dk", "leak", "diode", "fbw", "ffail", "noise", "sign")
+    NONIDEALITY_KEYS = ("offset", "dk", "opamp", "leak", "diode", "fbw", "ffail", "noise", "sign")
 
     def set_key(self, key: str, raw):
         if key in self._STR_KEYS:
@@ -181,6 +189,7 @@ class RunConfig:
         return CircuitNonIdealities(
             comparator_offset=self.offset,
             divider_error=self.dk,
+            opamp_offset=self.opamp,
             leak_droop=self.leak,
             diode_residual=self.diode,
             f_fail=self.ffail,
@@ -245,6 +254,7 @@ def _add_measurement_flags(p):
 def _add_nonideality_flags(p):
     p.add_argument("--offset", help="threshold comparator offset [V]")
     p.add_argument("--dk", help="fractional divider error, e.g. 1%%")
+    p.add_argument("--opamp", help="opamp offset added to every captured peak [V]")
     p.add_argument("--leak", help="held-peak droop rate [V/s]")
     p.add_argument("--diode", help="uncancelled diode residual [V]")
     p.add_argument("--fbw", help="peak-detector tracking bandwidth [Hz]")

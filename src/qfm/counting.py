@@ -341,6 +341,26 @@ def theoretical_error(q_true: float, config: MeasurementConfig) -> float:
     return float(crossing.error)
 
 
+# Sweep axes longer than this are refused before anything is allocated;
+# the default grids have at most 18,001 points.
+MAX_GRID_POINTS = 10**6
+
+
+def check_grid_size(points, what: str) -> None:
+    """Refuse a grid of more than MAX_GRID_POINTS points."""
+    if points > MAX_GRID_POINTS:
+        count = math.ceil(points) if math.isfinite(points) else points
+        raise ValueError(f"{what} has {count} points, over the limit of {MAX_GRID_POINTS}")
+
+
+def inclusive_range(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... through hi (to within half a step), sized
+    against MAX_GRID_POINTS first."""
+    stop = hi + step / 2.0
+    check_grid_size((stop - lo) / step, f"range {lo:g}:{hi:g}:{step:g}")
+    return np.arange(lo, stop, step)
+
+
 def expand_range(q_range) -> np.ndarray:
     """Q grid from a (min, max, step) range, endpoints inclusive."""
     lo, hi, step = q_range
@@ -348,7 +368,7 @@ def expand_range(q_range) -> np.ndarray:
         raise ValueError(
             f"invalid range {q_range!r}: need 0.5 < min <= max and step > 0, all finite"
         )
-    return np.arange(lo, hi + step / 2.0, step)
+    return inclusive_range(lo, hi, step)
 
 
 def error_table(ks, qs, n, q_measured, error, valid) -> SweepTable:

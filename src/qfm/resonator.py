@@ -78,11 +78,16 @@ class Waveform:
     start_time: float = 0.0
 
     def __post_init__(self):
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be > 0 (got {self.sample_rate})")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and > 0 (got {self.sample_rate})")
+        if not math.isfinite(self.start_time):
+            raise ValueError(f"start_time must be finite (got {self.start_time})")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")
+        # min and max propagate NaN and reach +/-inf, without a temporary
+        if not (math.isfinite(samples.min()) and math.isfinite(samples.max())):
+            raise ValueError("samples must all be finite (found nan or inf)")
         object.__setattr__(self, "samples", samples)
 
     def times(self) -> np.ndarray:
@@ -117,12 +122,25 @@ def eval_response(params: ResonatorParams, t):
         raise ValueError("t must be >= 0 (response starts at the release instant)")
     dyn = derive_dynamics(params)
     c = 1.0 / math.sqrt(4.0 * params.q * params.q - 1.0)
-    v = (
-        params.v0
-        * np.exp(-dyn.alpha * t)
-        * (np.cos(dyn.omega_d * t) + c * np.sin(dyn.omega_d * t))
-    )
-    return float(v) if v.ndim == 0 else v
+    if t.ndim == 0:
+        v = (
+            params.v0
+            * np.exp(-dyn.alpha * t)
+            * (np.cos(dyn.omega_d * t) + c * np.sin(dyn.omega_d * t))
+        )
+        return float(v)
+    # two work buffers; each element goes through the scalar path's ufuncs
+    # with the same operands, so every bit matches
+    phase = np.multiply(dyn.omega_d, t)
+    v = np.cos(phase)
+    np.sin(phase, out=phase)
+    np.multiply(c, phase, out=phase)
+    np.add(v, phase, out=phase)
+    np.multiply(-dyn.alpha, t, out=v)
+    np.exp(v, out=v)
+    np.multiply(params.v0, v, out=v)
+    np.multiply(v, phase, out=v)
+    return v
 
 
 def peak_time(params: ResonatorParams, m) -> float:
@@ -191,5 +209,5 @@ def synth_waveform(
     v = eval_response(params, t)
     if noise_rms > 0:
         rng = np.random.default_rng(seed)
-        v = v + rng.normal(0.0, noise_rms, n)
+        v += rng.normal(0.0, noise_rms, n)
     return Waveform(sample_rate=sample_rate, samples=v)

@@ -145,18 +145,25 @@ def load_waveform(source) -> Waveform:
             volts.append(float(parts[1]))
         except ValueError:
             raise WaveformFormatError(f"unparseable number in {row!r}", line=lineno) from None
-    if len(times) < 3:
+    t, v = np.array(times), np.array(volts)
+    del times, volts  # the float lists take four times the arrays' memory
+    finite = np.isfinite(t) & np.isfinite(v)
+    if not finite.all():
+        data_lines = [n for n, raw in enumerate(lines[1:], start=2) if raw.strip()]
         raise WaveformFormatError(
-            f"need at least 3 samples to establish a rate, found {len(times)}"
+            "non-finite value (nan or inf)", line=data_lines[int(np.argmin(finite))]
         )
-    t = np.array(times)
+    if t.size < 3:
+        raise WaveformFormatError(
+            f"need at least 3 samples to establish a rate, found {t.size}"
+        )
     dt = np.diff(t)
     med = float(np.median(dt))
     if med <= 0 or np.any(np.abs(dt - med) > UNIFORMITY_TOL * abs(med)):
         raise WaveformFormatError(
             "non-uniform sampling: time steps deviate beyond 1e-6 relative from the median"
         )
-    return Waveform(sample_rate=1.0 / med, samples=np.array(volts), start_time=float(t[0]))
+    return Waveform(sample_rate=1.0 / med, samples=v, start_time=float(t[0]))
 
 
 def _read_text(source) -> str:

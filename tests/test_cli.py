@@ -1,5 +1,8 @@
 """CLI surface: records on stdout, exit codes, config files, ranges."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,28 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--offset", "0.5", "--sign", "minus", "--dk", "0.01")
         assert code == 3
         assert "threshold" in err
+
+    def test_sample_budget_exits_3_before_allocating(self, capsys):
+        # Q = 1e6 at k = 6 needs about 570k cycles, 28.5M samples at 50 per period
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "simulate", "--q", "1e6")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "28517250 samples" in err and "228 MB" in err
+        assert peak < 10e6
+
+    def test_opamp_offset_moves_threshold(self, capsys):
+        _, base, _ = run(capsys, "simulate")
+        code, out, _ = run(capsys, "simulate", "--opamp", "5mV")
+        assert code == 0
+        thr, thr_opamp = (float(record_fields(o.strip())["threshold"]) for o in (base, out))
+        # the offset lifts the captured V0, so the threshold by 5 mV / 6
+        assert thr_opamp - thr == pytest.approx(5e-3 / 6, rel=1e-9)
 
 
 class TestSweep:
@@ -266,6 +291,18 @@ class TestConfigFile:
         expected.convention = "first_at_or_below"
         assert reloaded == expected
 
+    def test_dump_config_round_trips_opamp(self, capsys, tmp_path):
+        out_path = tmp_path / "dumped.cfg"
+        code, _, _ = run(capsys, "dump-config", "--opamp", "5mV", "--out", str(out_path))
+        assert code == 0
+        assert "opamp = 0.005" in out_path.read_text().splitlines()
+        reloaded = RunConfig()
+        assert load_config_file(out_path, reloaded) >= {"opamp"}
+        expected = RunConfig()
+        expected.opamp = 5e-3
+        assert reloaded == expected
+        assert reloaded.nonidealities().opamp_offset == 5e-3
+
     def test_dump_config_stdout(self, capsys):
         code, out, _ = run(capsys, "dump-config")
         assert code == 0
@@ -302,3 +339,19 @@ class TestNonFiniteInput:
             code, _, err = run(capsys, "simulate", "--config", str(cfg))
             assert code == 2
             assert len(err.strip().splitlines()) == 1
+
+    def test_oversized_sweep_grid_exits_2_fast(self, capsys, tmp_path):
+        out_csv = tmp_path / "never.csv"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sweep", "theoretical", "--q", "10:2e7:1", "--out", str(out_csv))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "19999991 points" in err
+        assert not out_csv.exists()
+
+    def test_oversized_axis_rejected(self):
+        for text in ("1:2e7:1", "1e3:1e6:log2000000"):
+            with pytest.raises(ValueError, match="points"):
+                parse_axis(text)
+        assert len(parse_axis("1:1e6:1")) == 1_000_000

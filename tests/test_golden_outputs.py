@@ -1,13 +1,16 @@
-"""Byte identity of the design-study outputs.
+"""Byte identity of the design-study and time-domain outputs.
 
-The digests and the Monte Carlo summary were recorded from the scalar
-implementation the crossing kernel replaced; any change to the numbers,
-their formatting or the chart rendering shows up here.
+The design digests and the Monte Carlo summary were recorded from the
+scalar implementation the crossing kernel replaced, the trace and
+frequency-sweep digests from the per-cycle simulator loop the array pass
+replaced; any change to the numbers, their formatting or the chart
+rendering shows up here.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from qfm import (
     CircuitNonIdealities,
@@ -27,6 +30,16 @@ DIGESTS = {
     "worstcase.csv": "ac0729059e1e02fe24e0347fd8b39f18c8c094ae35e230a13f27c10d9e32b214",
     "worstcase.svg": "df5cdd6a8f458f3fafae9d5cdb293b0229eb0b41b5d812efbf4b821dac437be8",
     "exhaustive.csv": "2c02197b3fa4afd405e709c139f836b98a9f7a04f1aba9ac547db96ff11182fb",
+}
+
+TRACE_DIGESTS = {
+    "": "7dd02f9620e8ee5fa090c525fa7a770a0d04d41fad0442dae212c81a0b8eea18",
+    "--q 3000 --leak 10 --offset 10mV --dk 1% --noise 1e-4 --seed 7":
+        "5112100014bdd8d7e6cfb3611563182957b81cb6c945977b1f179656bceebcbe",
+    "--f0 1MHz --q 20000 --k 10 --spp 59 --noise 1e-4 --convention first_at_or_below":
+        "92b7175f23aaaf39f1d1831cbd5cc5b1f72ecd24b313cf4eacddb69e7b0ca5a6",
+    "--q 300 --offset 10mV --dk 1% --leak 10 --noise 1mV --sign independent --seed 3":
+        "e725b64532266e62443a774064f7ba9abb663f92de4803ef02e5ab0e86ba0f70",
 }
 
 
@@ -49,6 +62,20 @@ def test_worstcase_sweep_cli_outputs(tmp_path, capsys):
     assert "rows=15317" in capsys.readouterr().out
     assert sha256(csv) == DIGESTS["worstcase.csv"]
     assert sha256(svg) == DIGESTS["worstcase.svg"]
+
+
+@pytest.mark.parametrize("flags", sorted(TRACE_DIGESTS))
+def test_simulate_trace_csv(tmp_path, flags):
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", *flags.split(), "--trace", str(trace)]) == 0
+    assert sha256(trace) == TRACE_DIGESTS[flags]
+
+
+def test_frequency_sweep_cli_csv(tmp_path, capsys):
+    csv = tmp_path / "frequency.csv"
+    assert main(["sweep", "frequency", "--out", str(csv)]) == 0
+    assert "rows=37" in capsys.readouterr().out
+    assert sha256(csv) == "a6f2a4361cafaff60d7f51ca20e1e0923f0763dde3ef44fb2839636056ef45e5"
 
 
 def test_exhaustive_worst_case_csv(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from qfm import (
     ResonatorParams,
+    Waveform,
     derive_dynamics,
     eval_response,
     peak_time,
@@ -242,3 +243,26 @@ class TestSynth:
             synth_waveform(params, 5e6, 0.0)
         with pytest.raises(ValueError):
             synth_waveform(params, 5e6, 1e-3, noise_rms=-1.0)
+
+
+class TestWaveform:
+    def test_rejects_non_finite_rate_and_start(self):
+        for kwargs in (
+            dict(sample_rate=math.inf),
+            dict(sample_rate=math.nan),
+            dict(sample_rate=1e6, start_time=math.inf),
+            dict(sample_rate=1e6, start_time=math.nan),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                Waveform(samples=[0.0, 1.0], **kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        samples = np.linspace(-1.0, 1.0, 101)
+        samples[37] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Waveform(sample_rate=1e6, samples=samples)
+
+    def test_accepts_extreme_finite_samples(self):
+        w = Waveform(sample_rate=1e6, samples=[1.7e308, -1.7e308], start_time=-1.0)
+        assert w.samples.dtype == float and len(w) == 2

@@ -95,6 +95,16 @@ class TestCsvRoundTrip:
         assert err.value.line == 4
         assert "line 4" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_non_finite_cell_reports_line(self, cell):
+        # the blank line still counts toward the reported line number
+        for row in (f"2e-7,{cell}", f"{cell},0.8"):
+            text = f"t,v\n0,1\n\n1e-7,0.9\n{row}\n3e-7,0.7\n"
+            with pytest.raises(WaveformFormatError) as err:
+                load_waveform(io.StringIO(text))
+            assert err.value.line == 5
+            assert "line 5" in str(err.value) and "non-finite" in str(err.value)
+
     def test_wrong_header_rejected(self):
         with pytest.raises(WaveformFormatError):
             load_waveform(io.StringIO("time,volts\n0,1\n1,2\n2,3\n"))
