@@ -32,6 +32,7 @@ import numpy as np
 
 from .circuit import (
     CircuitNonIdealities,
+    SampleBudgetError,
     SignAlignment,
     SimulationError,
     detector_envelope,
@@ -40,6 +41,7 @@ from .circuit import (
 from .counting import (
     Convention,
     MeasurementConfig,
+    check_grid_size,
     check_k,
     error_table,
     expand_range,
@@ -105,7 +107,10 @@ def worst_case_sweep(
     """
     ks = check_k(list(k_values))
     qs = expand_range(q_range)
-    crossings = _crossings(qs, ni, f0, v0, _corner_signs(exhaustive))
+    corners = _corner_signs(exhaustive)
+    check_grid_size(ks.size * qs.size, f"the {ks.size} k x {qs.size} Q grid")
+    check_grid_size(len(corners) * qs.size, f"the {len(corners)} corner x {qs.size} Q grid")
+    crossings = _crossings(qs, ni, f0, v0, corners)
     worst = [_worst_corner(crossings(k, convention)) for k in ks]
     return error_table(ks, qs, *(np.stack(column) for column in zip(*worst)))
 
@@ -140,6 +145,7 @@ def optimal_k(
     """
     ks = np.sort(check_k(list(k_grid)))
     qs = expand_range(q_range)
+    check_grid_size(len(_ALIGNED_CORNERS) * qs.size, f"the 2 corner x {qs.size} Q grid")
     crossings = _crossings(qs, ni, f0, v0, _ALIGNED_CORNERS)
     best_k = None
     best_metric = math.inf
@@ -168,7 +174,9 @@ def frequency_sweep(
     """Signed measurement error versus resonant frequency, one
     time-domain run per point with the configured sign alignment.
 
-    Points where the run cannot complete are recorded with NA markers.
+    Points where the run cannot complete are recorded with NA markers;
+    a point over the simulator's sample budget (SampleBudgetError)
+    aborts the sweep instead.
     """
     f0_values = [float(f) for f in f0_values]
     if not f0_values:
@@ -187,6 +195,8 @@ def frequency_sweep(
             result, _ = simulate_measurement(
                 params, config, ni, samples_per_period=samples_per_period, seed=seed
             )
+        except SampleBudgetError:
+            raise
         except SimulationError:
             table.append(f0, None, None, None)
             continue

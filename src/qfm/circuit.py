@@ -59,6 +59,7 @@ __all__ = [
     "SimTrace",
     "TraceRow",
     "SimulationError",
+    "SampleBudgetError",
     "capture_model",
     "effective_threshold",
     "simulate_measurement",
@@ -70,6 +71,11 @@ __all__ = [
 class SimulationError(RuntimeError):
     """A measurement run cannot complete (threshold unreachable, signal
     lost in the noise floor, or no decay observed)."""
+
+
+class SampleBudgetError(SimulationError):
+    """A time-domain run would synthesize more than MAX_SIM_SAMPLES
+    samples; a resource limit, not a property of the measured point."""
 
 
 class SignAlignment(enum.Enum):
@@ -382,7 +388,7 @@ def simulate_measurement(
     duration = (m_star + 10) * dyn.pseudo_period
     n_samples = round(duration * sample_rate)
     if n_samples > MAX_SIM_SAMPLES:
-        raise SimulationError(
+        raise SampleBudgetError(
             f"the run needs {n_samples} samples ({n_samples * 8e-6:.0f} MB per "
             f"float64 array), over the simulator's budget of {MAX_SIM_SAMPLES} samples"
         )

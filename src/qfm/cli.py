@@ -467,6 +467,7 @@ _EXIT_CODES = {
     ValueError: EXIT_CONFIG,
     KeyError: EXIT_CONFIG,
     OSError: EXIT_IO,
+    MemoryError: EXIT_SIM,
 }
 
 

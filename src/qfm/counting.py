@@ -341,13 +341,14 @@ def theoretical_error(q_true: float, config: MeasurementConfig) -> float:
     return float(crossing.error)
 
 
-# Sweep axes longer than this are refused before anything is allocated;
-# the default grids have at most 18,001 points.
+# Sweep axes, and the grids a sweep evaluates at once, larger than this
+# are refused before anything is allocated; the largest grid the demos
+# use has 36,002 cells (2 corners x 18,001 Q).
 MAX_GRID_POINTS = 10**6
 
 
 def check_grid_size(points, what: str) -> None:
-    """Refuse a grid of more than MAX_GRID_POINTS points."""
+    """Refuse an axis or grid of more than MAX_GRID_POINTS points."""
     if points > MAX_GRID_POINTS:
         count = math.ceil(points) if math.isfinite(points) else points
         raise ValueError(f"{what} has {count} points, over the limit of {MAX_GRID_POINTS}")
@@ -390,5 +391,6 @@ def theoretical_error_sweep(k_values, q_range, convention: Convention = Conventi
     """
     ks = check_k(list(k_values))
     qs = expand_range(q_range)
+    check_grid_size(ks.size * qs.size, f"the {ks.size} k x {qs.size} Q grid")
     c = first_crossing(Envelope(qs), ks[:, None], convention)
     return error_table(ks, qs, c.n, c.q, c.error, c.valid)

@@ -117,20 +117,14 @@ def eval_response(params: ResonatorParams, t):
 
     Accepts a scalar or an array of times; returns the matching shape.
     """
-    t = np.asarray(t, dtype=float)
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0):
         raise ValueError("t must be >= 0 (response starts at the release instant)")
     dyn = derive_dynamics(params)
     c = 1.0 / math.sqrt(4.0 * params.q * params.q - 1.0)
-    if t.ndim == 0:
-        v = (
-            params.v0
-            * np.exp(-dyn.alpha * t)
-            * (np.cos(dyn.omega_d * t) + c * np.sin(dyn.omega_d * t))
-        )
-        return float(v)
-    # two work buffers; each element goes through the scalar path's ufuncs
-    # with the same operands, so every bit matches
+    # v0 * exp(-alpha t) * (cos(omega_d t) + c sin(omega_d t)), evaluated
+    # in two work buffers
     phase = np.multiply(dyn.omega_d, t)
     v = np.cos(phase)
     np.sin(phase, out=phase)
@@ -140,7 +134,7 @@ def eval_response(params: ResonatorParams, t):
     np.exp(v, out=v)
     np.multiply(params.v0, v, out=v)
     np.multiply(v, phase, out=v)
-    return v
+    return float(v[0]) if scalar else v
 
 
 def peak_time(params: ResonatorParams, m) -> float:

@@ -9,6 +9,7 @@ from qfm import (
     Convention,
     MeasurementConfig,
     ResonatorParams,
+    SampleBudgetError,
     SignAlignment,
     monte_carlo,
     optimal_k,
@@ -101,6 +102,19 @@ class TestWorstCaseSweep:
         assert "nan" not in table.to_csv_string()
 
 
+class TestSweepGridLimit:
+    def test_exhaustive_corner_grid_rejected(self):
+        with pytest.raises(ValueError, match="the 32 corner x 40001 Q grid"):
+            worst_case_sweep([6.0], (100.0, 40100.0, 1.0), PAIR, f0=F0, exhaustive=True)
+
+    def test_k_by_q_grid_rejected(self):
+        ks = np.linspace(2.0, 20.0, 2000)
+        with pytest.raises(ValueError, match="the 2000 k x 991 Q grid"):
+            theoretical_error_sweep(ks, (10.0, 1000.0, 1.0))
+        with pytest.raises(ValueError, match="the 2000 k x 901 Q grid"):
+            worst_case_sweep(ks, (100.0, 1000.0, 1.0), PAIR, f0=F0)
+
+
 class TestOptimalK:
     def test_paper_magnitudes_interior_optimum(self):
         k_grid = np.arange(2.0, 20.01, 0.25)
@@ -124,6 +138,12 @@ class TestOptimalK:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             optimal_k((100.0, 200.0, 1.0), PAIR, [], f0=F0)
+
+    def test_rejects_oversized_corner_grid(self):
+        # 600,001 Q points are within the axis limit, but the two
+        # corners make 1.2M cells per kernel call
+        with pytest.raises(ValueError, match="the 2 corner x 600001 Q grid"):
+            optimal_k((100.0, 600100.0, 1.0), PAIR, [5.0], f0=F0)
 
 
 class TestFrequencySweep:
@@ -154,6 +174,12 @@ class TestFrequencySweep:
         assert table.rows[1][1] is None
         text = table.to_csv_string()
         assert "NA,NA,NA" in text
+
+    def test_sample_budget_aborts_the_sweep(self):
+        # Q = 1e6 is over the simulator's sample budget at every f0: a
+        # resource limit, not a point that cannot complete
+        with pytest.raises(SampleBudgetError, match="samples"):
+            frequency_sweep(1e6, 6.0, [1e3, 1e4], IDEAL, samples_per_period=40)
 
     def test_rejects_bad_axis_and_signs(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qfm import cli
 from qfm.cli import RunConfig, load_config_file, main, parse_axis, parse_value
 
 
@@ -109,6 +110,27 @@ class TestSimulate:
         assert len(err.strip().splitlines()) == 1
         assert "28517250 samples" in err and "228 MB" in err
         assert peak < 10e6
+
+    def test_sample_budget_aborts_frequency_sweep(self, capsys, tmp_path):
+        # every f0 point needs about 27M samples at 40 per period; the
+        # budget is a resource limit, so the sweep stops instead of
+        # writing a table of NA rows
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run(capsys, "sweep", "frequency", "--q", "1e6", "--out", str(out_csv))
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "samples" in err
+        assert not out_csv.exists()
+
+    def test_memory_error_exits_3(self, capsys, monkeypatch):
+        def exhausted(ns):
+            raise MemoryError("Unable to allocate 763. MiB for an array")
+
+        monkeypatch.setitem(cli._DISPATCH, "simulate", exhausted)
+        code, out, err = run(capsys, "simulate")
+        assert code == 3
+        assert out == ""
+        assert err == "error: Unable to allocate 763. MiB for an array\n"
 
     def test_opamp_offset_moves_threshold(self, capsys):
         _, base, _ = run(capsys, "simulate")
@@ -340,14 +362,23 @@ class TestNonFiniteInput:
             assert code == 2
             assert len(err.strip().splitlines()) == 1
 
-    def test_oversized_sweep_grid_exits_2_fast(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("theoretical", "--q", "10:2e7:1"), "19999991 points"),
+            (("theoretical", "--k", "1.5:2e5:1"), "the 199999 k x 991 Q grid has 198199009 points"),
+            (("worstcase", "--k", "1.5:2e5:1"), "the 199999 k x 901 Q grid"),
+            (("worstcase", "--q", "100:1e5:1"), "the 17 k x 99901 Q grid"),
+        ],
+    )
+    def test_oversized_sweep_grid_exits_2_fast(self, capsys, tmp_path, argv, message):
         out_csv = tmp_path / "never.csv"
         start = time.perf_counter()
-        code, out, err = run(capsys, "sweep", "theoretical", "--q", "10:2e7:1", "--out", str(out_csv))
+        code, out, err = run(capsys, "sweep", *argv, "--out", str(out_csv))
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert len(err.strip().splitlines()) == 1 and "19999991 points" in err
+        assert len(err.strip().splitlines()) == 1 and message in err
         assert not out_csv.exists()
 
     def test_oversized_axis_rejected(self):
