@@ -50,7 +50,7 @@ from .counting import (
     first_crossing,
     stop_threshold,
 )
-from .resonator import ResonatorParams, derive_dynamics, synth_waveform
+from .resonator import MAX_SAMPLES, ResonatorParams, derive_dynamics, synth_waveform
 from .tables import SweepTable, write_text
 
 __all__ = [
@@ -74,7 +74,7 @@ class SimulationError(RuntimeError):
 
 
 class SampleBudgetError(SimulationError):
-    """A time-domain run would synthesize more than MAX_SIM_SAMPLES
+    """A time-domain run would synthesize more than resonator.MAX_SAMPLES
     samples; a resource limit, not a property of the measured point."""
 
 
@@ -325,10 +325,6 @@ def predicted_measurement(
 # ---------------------------------------------------------------------------
 # time-domain path
 
-# Largest record the simulator synthesizes: 2**24 samples is 134 MB per
-# float64 array, a few of which are live at once.
-MAX_SIM_SAMPLES = 2**24
-
 _NO_STOP = (
     "signal decayed to the end of the simulation budget without the "
     "stop logic completing; the threshold is unreachable or buried "
@@ -387,10 +383,10 @@ def simulate_measurement(
     sample_rate = samples_per_period * params.f0
     duration = (m_star + 10) * dyn.pseudo_period
     n_samples = round(duration * sample_rate)
-    if n_samples > MAX_SIM_SAMPLES:
+    if n_samples > MAX_SAMPLES:
         raise SampleBudgetError(
             f"the run needs {n_samples} samples ({n_samples * 8e-6:.0f} MB per "
-            f"float64 array), over the simulator's budget of {MAX_SIM_SAMPLES} samples"
+            f"float64 array), over the simulator's budget of {MAX_SAMPLES} samples"
         )
     wave = synth_waveform(params, sample_rate, duration, noise_rms=ni.noise_rms, seed=noise_seed)
     v = wave.samples

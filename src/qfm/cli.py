@@ -2,8 +2,9 @@
 measurement of external records.
 
 Results go to stdout as single-line ``key=value`` records; tables go to
-files; diagnostics go to stderr.  Exit codes: 0 ok, 2 configuration or
-parse error, 3 simulation failure, 4 I/O error, 5 insufficient record.
+files; a failure prints one ``error:`` line on stderr.  Exit codes: 0 ok,
+2 usage, configuration or parse error, 3 simulation failure, 4 I/O error,
+5 insufficient record.
 
 Numeric flags and config-file values accept SI suffixes (``50kHz``,
 ``10mV``, ``1%``).  A ``key = value`` config file can be passed with
@@ -14,12 +15,11 @@ flags override file values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,58 +118,71 @@ def parse_axis(text) -> np.ndarray:
     return np.array([parse_value(text)])
 
 
-# flag defaults mirror the reference bring-up scenario: 50 kHz device with
+def _key(default, help_text: str, enum=None):
+    """A configuration key: default, flag help and, for a string, its enum's values."""
+    choices = enum and [e.value for e in enum]
+    return field(default=default, metadata={"help": help_text, "choices": choices})
+
+
+# defaults mirror the reference bring-up scenario: 50 kHz device with
 # Q = 300 and 1 V initial amplitude, measured with k = 6 and an ideal circuit
 @dataclass
 class RunConfig:
-    f0: float = 50e3
-    q: float = 300.0
-    v0: float = 1.0
-    k: float = 6.0
-    convention: str = "last_above"
-    shortcut: bool = False
-    offset: float = 0.0
-    dk: float = 0.0
-    opamp: float = 0.0
-    leak: float = 0.0
-    diode: float = 0.0
-    fbw: float = 1e6
-    ffail: float = 1e6
-    noise: float = 0.0
-    sign: str = "plus"
-    spp: int = 50
-    seed: int = 0
-    rate: float = 5e6
-    duration: float = 5e-3
-    hysteresis: float = -1.0  # negative = auto: 1% of the record's peak magnitude
+    """Every configuration key, also a ``--flag`` of each command using it; the annotation
+    is the kind of value it parses: ``float`` (SI suffixes), ``int``, ``bool`` or enum ``str``."""
 
-    _INT_KEYS = ("spp", "seed")
-    _STR_KEYS = ("convention", "sign")
-    _BOOL_KEYS = ("shortcut",)
+    f0: float = _key(50e3, "resonant frequency [Hz], e.g. 50kHz")
+    q: float = _key(300.0, "true quality factor")
+    v0: float = _key(1.0, "initial peak amplitude [V]")
+    k: float = _key(6.0, "division factor (> 1)")
+    convention: str = _key("last_above", "how n relates to the first peak at or below V0/k", Convention)
+    shortcut: bool = _key(False, "convert the count as 2n instead of the closed form")
+    offset: float = _key(0.0, "threshold comparator offset [V]")
+    dk: float = _key(0.0, "fractional divider error, e.g. 1%%")
+    opamp: float = _key(0.0, "opamp offset added to every captured peak [V]")
+    leak: float = _key(0.0, "held-peak droop rate [V/s]")
+    diode: float = _key(0.0, "uncancelled diode residual [V]")
+    fbw: float = _key(1e6, "peak-detector tracking bandwidth [Hz]")
+    ffail: float = _key(1e6, "diode-cancellation failure knee [Hz]")
+    noise: float = _key(0.0, "input noise RMS [V]")
+    sign: str = _key("plus", "error sign alignment", SignAlignment)
+    spp: int = _key(50, "samples per resonant period (>= 20)")
+    seed: int = _key(0, "seed for noise and sign draws")
+    rate: float = _key(5e6, "synthesis sample rate [Hz]")
+    duration: float = _key(5e-3, "synthesis record length [s]")
+    hysteresis: float = _key(-1.0, "peak-confirmation hysteresis [V]; negative = 1%% of the record's peak")
+
     NONIDEALITY_KEYS = ("offset", "dk", "opamp", "leak", "diode", "fbw", "ffail", "noise", "sign")
 
     def set_key(self, key: str, raw):
-        if key in self._STR_KEYS:
-            setattr(self, key, str(raw).strip().lower())
-        elif key in self._BOOL_KEYS:
+        """Parse and validate one value the same way for a flag and a config line."""
+        if key not in _FIELDS:
+            raise ValueError(f"unknown configuration key {key!r}")
+        kind, choices = _FIELDS[key].type, _FIELDS[key].metadata["choices"]
+        if kind == "str":
+            value = str(raw).strip().lower()
+            if value not in choices:
+                raise ValueError(f"{key} must be one of {', '.join(choices)}, got {raw!r}")
+        elif kind == "bool":
             text = str(raw).strip().lower()
             if text not in ("true", "false", "1", "0", "yes", "no"):
                 raise ValueError(f"boolean key {key!r} got {raw!r}")
-            setattr(self, key, text in ("true", "1", "yes"))
-        elif key in self._INT_KEYS:
-            setattr(self, key, int(parse_value(str(raw))))
-        elif key in {f.name for f in dataclasses.fields(self)}:
-            setattr(self, key, parse_value(raw))
+            value = text in ("true", "1", "yes")
         else:
-            raise ValueError(f"unknown configuration key {key!r}")
+            value = parse_value(raw)
+            if kind == "int":
+                if value != int(value):
+                    raise ValueError(f"integer key {key!r} got {raw!r}")
+                value = int(value)
+        setattr(self, key, value)
 
     def dump(self) -> str:
         lines = []
-        for f in dataclasses.fields(self):
+        for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in self._BOOL_KEYS:
+            if f.type == "bool":
                 text = "true" if value else "false"
-            elif f.name in self._STR_KEYS:
+            elif f.type == "str":
                 text = value
             else:
                 text = format_number(value)
@@ -222,114 +235,60 @@ def load_config_file(path, config: RunConfig) -> set:
     return assigned
 
 
-def _resolve_config(ns) -> tuple:
-    """Defaults, then config file (flag or QFM_CONFIG), then explicit flags."""
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+
+def _resolve_config(ns, skip=()) -> tuple:
+    """Defaults, then config file (flag or QFM_CONFIG), then the flags not in ``skip``."""
     config = RunConfig()
     assigned = set()
     path = getattr(ns, "config", None) or os.environ.get(ENV_CONFIG)
     if path:
         assigned |= load_config_file(path, config)
-    for key in (f.name for f in dataclasses.fields(RunConfig)):
+    for key in _FIELDS:
         value = getattr(ns, key, None)
-        if value is not None:
+        if value is not None and key not in skip:
             config.set_key(key, value)
             assigned.add(key)
     return config, assigned
 
 
-def _add_device_flags(p):
-    p.add_argument("--f0", help="resonant frequency [Hz], e.g. 50kHz")
-    p.add_argument("--q", help="true quality factor")
-    p.add_argument("--v0", help="initial peak amplitude [V]")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so ``main`` reports them in one line like any
+    other configuration error."""
 
-
-def _add_measurement_flags(p):
-    p.add_argument("--k", help="division factor (> 1)")
-    p.add_argument("--convention", choices=[c.value for c in Convention],
-                   help="how n relates to the first peak at or below V0/k")
-    p.add_argument("--shortcut", action="store_const", const="true", default=None,
-                   help="convert the count as 2n instead of the closed form")
-
-
-def _add_nonideality_flags(p):
-    p.add_argument("--offset", help="threshold comparator offset [V]")
-    p.add_argument("--dk", help="fractional divider error, e.g. 1%%")
-    p.add_argument("--opamp", help="opamp offset added to every captured peak [V]")
-    p.add_argument("--leak", help="held-peak droop rate [V/s]")
-    p.add_argument("--diode", help="uncancelled diode residual [V]")
-    p.add_argument("--fbw", help="peak-detector tracking bandwidth [Hz]")
-    p.add_argument("--ffail", help="diode-cancellation failure knee [Hz]")
-    p.add_argument("--noise", help="input noise RMS [V]")
-    p.add_argument("--sign", choices=[s.value for s in SignAlignment],
-                   help="error sign alignment")
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfm",
         description="Ring-down quality-factor measurement: simulate the counting "
         "architecture, sweep its error budget, synthesize and measure waveforms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cmd = {}
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = cmd[name] = sub.add_parser(name, help=help_text, description=help_text)
+        for key in keys:
+            meta = _FIELDS[key].metadata
+            if _FIELDS[key].type == "bool":
+                p.add_argument(f"--{key}", action="store_const", const="true", help=meta["help"])
+            else:
+                metavar = meta["choices"] and "{%s}" % ",".join(meta["choices"])
+                p.add_argument(f"--{key}", metavar=metavar, help=meta["help"])
+        p.add_argument("--config", metavar="PATH", help="key = value config file")
 
-    p = sub.add_parser("simulate", help="run the behavioral measurement once")
-    _add_device_flags(p)
-    _add_measurement_flags(p)
-    _add_nonideality_flags(p)
-    p.add_argument("--spp", type=int, help="samples per resonant period (>= 20)")
-    p.add_argument("--seed", type=int, help="seed for noise and sign draws")
-    p.add_argument("--trace", metavar="PATH", help="write the per-cycle trace CSV here")
-    p.add_argument("--config", metavar="PATH", help="key = value config file")
-
-    p = sub.add_parser("sweep", help="tabulate measurement error over a parameter range")
-    p.add_argument("mode", choices=["theoretical", "worstcase", "frequency"])
-    # in theoretical/worstcase mode --k takes a list or range and --q a
-    # lo:hi:step range; in frequency mode --f0 takes a range (lo:hi:log[N]
-    # supported) while --k and --q stay scalar
-    p.add_argument("--f0", help="resonant frequency [Hz]; a range in frequency mode")
-    p.add_argument("--q", help="true quality factor; a lo:hi:step range except in frequency mode")
-    p.add_argument("--v0", help="initial peak amplitude [V]")
-    p.add_argument("--k", help="division factor(s): scalar, 'a,b,c' list or lo:hi:step")
-    p.add_argument("--convention", choices=[c.value for c in Convention])
-    p.add_argument("--shortcut", action="store_const", const="true", default=None)
-    _add_nonideality_flags(p)
-    p.add_argument("--spp", type=int, help="samples per period for frequency mode")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True, metavar="PATH", help="CSV output path")
-    p.add_argument("--svg", metavar="PATH", help="also render a line chart here")
-    p.add_argument("--config", metavar="PATH")
-
-    p = sub.add_parser("synth", help="synthesize a ring-down waveform CSV")
-    _add_device_flags(p)
-    p.add_argument("--rate", help="sample rate [Hz] (default 5MHz)")
-    p.add_argument("--duration", help="record length [s] (default 5ms)")
-    p.add_argument("--noise", help="additive noise RMS [V]")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True, metavar="PATH")
-    p.add_argument("--config", metavar="PATH")
-
-    p = sub.add_parser("measure", help="measure Q from a waveform CSV")
-    p.add_argument("input", metavar="WAVEFORM_CSV")
-    _add_measurement_flags(p)
-    p.add_argument(
-        "--hysteresis",
-        help="peak-confirmation hysteresis [V]; negative = auto "
-        "(1%% of the record's peak magnitude)",
-    )
-    p.add_argument("--config", metavar="PATH")
-
-    p = sub.add_parser("dump-config", help="print the effective configuration")
-    _add_device_flags(p)
-    _add_measurement_flags(p)
-    _add_nonideality_flags(p)
-    p.add_argument("--spp", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rate", help="synthesis sample rate [Hz]")
-    p.add_argument("--duration", help="synthesis record length [s]")
-    p.add_argument("--hysteresis", help="peak-confirmation hysteresis [V]")
-    p.add_argument("--config", metavar="PATH")
-    p.add_argument("--out", metavar="PATH", help="write instead of printing")
-
+    cmd["simulate"].add_argument("--trace", metavar="PATH", help="write the per-cycle trace CSV here")
+    cmd["sweep"].add_argument("mode", choices=["theoretical", "worstcase", "frequency"], help=(
+        "theoretical and worstcase sweep --k (a,b,c or lo:hi:step) and --q (lo:hi:step); "
+        "frequency sweeps --f0 (a,b,c, lo:hi:step or lo:hi:log[N])"))
+    cmd["sweep"].add_argument("--out", required=True, metavar="PATH", help="CSV output path")
+    cmd["sweep"].add_argument("--svg", metavar="PATH", help="also render a line chart here")
+    cmd["synth"].add_argument("--out", required=True, metavar="PATH", help="CSV output path")
+    cmd["measure"].add_argument("input", metavar="WAVEFORM_CSV")
+    cmd["dump-config"].add_argument("--out", metavar="PATH", help="write instead of printing")
     return parser
 
 
@@ -350,25 +309,20 @@ def cmd_simulate(ns) -> int:
 
 def cmd_sweep(ns) -> int:
     # the axis-valued flags must not reach the scalar config resolver
-    raw_k, raw_q, raw_f0 = ns.k, ns.q, ns.f0
-    if ns.mode in ("theoretical", "worstcase"):
-        ns.k = None
-        ns.q = None
-    else:
-        ns.f0 = None
-    config, assigned = _resolve_config(ns)
+    axes = ("f0",) if ns.mode == "frequency" else ("k", "q")
+    config, assigned = _resolve_config(ns, skip=axes)
 
     if ns.mode == "theoretical":
-        ks = parse_axis(raw_k) if raw_k else np.array([2.0, 4.0, 6.0, 8.0, 16.0])
+        ks = parse_axis(ns.k) if ns.k else np.array([2.0, 4.0, 6.0, 8.0, 16.0])
         table = theoretical_error_sweep(
-            ks, _parse_qrange(raw_q or "10:1000:1"), Convention(config.convention)
+            ks, _parse_qrange(ns.q or "10:1000:1"), Convention(config.convention)
         )
         chart = dict(x="q_true", series="k")
     elif ns.mode == "worstcase":
-        ks = parse_axis(raw_k) if raw_k else np.arange(4.0, 8.01, 0.25)
+        ks = parse_axis(ns.k) if ns.k else np.arange(4.0, 8.01, 0.25)
         table = worst_case_sweep(
             ks,
-            _parse_qrange(raw_q or "100:1000:1"),
+            _parse_qrange(ns.q or "100:1000:1"),
             config.nonidealities(),
             f0=config.f0,
             v0=config.v0,
@@ -382,7 +336,7 @@ def cmd_sweep(ns) -> int:
             # a frequency sweep of an ideal circuit is a flat line; default
             # to the calibrated pessimistic budget unless told otherwise
             ni = pessimistic_nonidealities(SignAlignment(config.sign))
-        f0s = parse_axis(raw_f0 or "1kHz:4MHz:log")
+        f0s = parse_axis(ns.f0 or "1kHz:4MHz:log")
         table = frequency_sweep(
             config.q,
             config.k,
@@ -451,13 +405,21 @@ def cmd_dump_config(ns) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "synth": cmd_synth,
-    "measure": cmd_measure,
-    "dump-config": cmd_dump_config,
+_DEVICE = ("f0", "q", "v0")
+_MEASUREMENT = ("k", "convention", "shortcut")
+
+# subcommand -> (handler, help, the RunConfig keys it takes as flags)
+_COMMANDS = {
+    "simulate": (cmd_simulate, "run the behavioral measurement once",
+                 (*_DEVICE, *_MEASUREMENT, *RunConfig.NONIDEALITY_KEYS, "spp", "seed")),
+    "sweep": (cmd_sweep, "tabulate measurement error over a parameter range",
+              (*_DEVICE, "k", "convention", *RunConfig.NONIDEALITY_KEYS, "spp", "seed")),
+    "synth": (cmd_synth, "synthesize a ring-down waveform CSV",
+              (*_DEVICE, "rate", "duration", "noise", "seed")),
+    "measure": (cmd_measure, "measure Q from a waveform CSV", (*_MEASUREMENT, "hysteresis")),
+    "dump-config": (cmd_dump_config, "print the effective configuration", tuple(_FIELDS)),
 }
+_DISPATCH = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
 
 
 # exit code per exception family, first match wins (WaveformFormatError is a ValueError)
@@ -472,13 +434,11 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        ns = build_parser().parse_args(argv)
         return _DISPATCH[ns.command](ns)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

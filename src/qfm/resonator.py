@@ -173,6 +173,10 @@ def _check_peak_index(m):
 # modeled circuit non-ideality.
 MIN_SAMPLES_PER_PERIOD = 20
 
+# Largest record synthesized: 2**24 samples is 134 MB per float64 array,
+# a few of which are live at once.
+MAX_SAMPLES = 2**24
+
 
 def synth_waveform(
     params: ResonatorParams,
@@ -185,7 +189,8 @@ def synth_waveform(
 
     Optionally adds white Gaussian noise of the given RMS, seeded so two
     calls with equal arguments produce bit-identical traces.  Rejects
-    sample rates below 20 samples per resonant period.
+    sample rates below 20 samples per resonant period and records over
+    MAX_SAMPLES samples.
     """
     if sample_rate < MIN_SAMPLES_PER_PERIOD * params.f0:
         raise ValueError(
@@ -196,6 +201,10 @@ def synth_waveform(
         raise ValueError(f"duration must be > 0 s (got {duration})")
     if noise_rms < 0:
         raise ValueError(f"noise_rms must be >= 0 V (got {noise_rms})")
+    if not duration * sample_rate <= MAX_SAMPLES:  # an overflow to inf fails too
+        raise ValueError(
+            f"{duration} s at {sample_rate} Hz is over the limit of {MAX_SAMPLES} samples"
+        )
     n = int(round(duration * sample_rate))
     if n < 2:
         raise ValueError("duration too short: fewer than 2 samples requested")

@@ -8,8 +8,6 @@ downstream CSV consumers can tell a failed point from a numeric zero.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 __all__ = ["SweepTable", "format_number", "write_text"]
@@ -48,12 +46,15 @@ def _format_column(values: np.ndarray, na: np.ndarray) -> list:
     return cells
 
 
-def write_text(dest, text: str) -> None:
-    """Write text to a path or a text stream (UTF-8, LF endings)."""
+def write_text(dest, text) -> None:
+    """Write text, or an iterable of text pieces, to a path or a text
+    stream (UTF-8, LF endings)."""
+    pieces = [text] if isinstance(text, str) else text
     if hasattr(dest, "write"):
-        dest.write(text)
+        dest.writelines(pieces)
     else:
-        Path(dest).write_text(text, encoding="utf-8", newline="\n")
+        with open(dest, "w", encoding="utf-8", newline="\n") as f:
+            f.writelines(pieces)
 
 
 class SweepTable:
@@ -113,19 +114,21 @@ class SweepTable:
         """Row tuples in scan order, None in NA cells."""
         return list(zip(*(self.cells(name) for name in self.columns)))
 
-    def to_csv_string(self) -> str:
-        # formatted in blocks of rows, so only one block's cells exist at a time
+    def _csv_pieces(self):
+        # the header, then blocks of rows, so only one block's text exists at a time
         data = self._data()
-        lines = [",".join(self.columns)]
+        yield ",".join(self.columns) + "\n"
         for start in range(0, len(self), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
             cells = zip(*(_format_column(values[rows], na[rows]) for values, na in data))
-            lines.append("\n".join(map(",".join, cells)))
-        return "\n".join(lines) + "\n"
+            yield "\n".join(map(",".join, cells)) + "\n"
+
+    def to_csv_string(self) -> str:
+        return "".join(self._csv_pieces())
 
     def to_csv(self, dest) -> None:
         """Write the table to a path or text stream (UTF-8, LF endings)."""
-        write_text(dest, self.to_csv_string())
+        write_text(dest, self._csv_pieces())
 
     def __len__(self) -> int:
         return len(self._data()[0][0]) if self.columns else 0

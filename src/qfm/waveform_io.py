@@ -18,7 +18,6 @@ first extracted peak defines V0.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 
 from .counting import MeasurementConfig, MeasurementResult
 from .resonator import Waveform
-from .tables import SweepTable, format_number, write_text
+from .tables import SweepTable, format_number
 
 __all__ = [
     "WaveformFormatError",
@@ -109,12 +108,9 @@ class PeakList:
 
 def waveform_to_csv(w: Waveform, dest) -> None:
     """Write a waveform in the ``t,v`` interchange format."""
-    t = w.times()
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for i in range(len(w)):
-        buf.write(f"{format_number(t[i])},{format_number(w.samples[i])}\n")
-    write_text(dest, buf.getvalue())
+    table = SweepTable(CSV_HEADER.split(","))
+    table.extend(w.times(), w.samples)
+    table.to_csv(dest)
 
 
 def load_waveform(source) -> Waveform:

@@ -1,5 +1,6 @@
 """CLI surface: records on stdout, exit codes, config files, ranges."""
 
+import argparse
 import time
 import tracemalloc
 
@@ -330,6 +331,101 @@ class TestConfigFile:
         assert code == 0
         assert "f0 = 50000" in out
         assert "convention = last_above" in out
+
+
+# option strings per subcommand; sweep --shortcut is gone because no sweep reads it
+_NONIDEALITY_FLAGS = {"--offset", "--dk", "--opamp", "--leak", "--diode", "--fbw", "--ffail", "--noise", "--sign"}
+FLAGS = {
+    "simulate": {"-h", "--help", "--config", "--f0", "--q", "--v0", "--k", "--convention", "--shortcut",
+                 *_NONIDEALITY_FLAGS, "--spp", "--seed", "--trace"},
+    "sweep": {"-h", "--help", "--config", "--f0", "--q", "--v0", "--k", "--convention",
+              *_NONIDEALITY_FLAGS, "--spp", "--seed", "--out", "--svg"},
+    "synth": {"-h", "--help", "--config", "--f0", "--q", "--v0", "--rate", "--duration", "--noise",
+              "--seed", "--out"},
+    "measure": {"-h", "--help", "--config", "--k", "--convention", "--shortcut", "--hysteresis"},
+    "dump-config": {"-h", "--help", "--config", "--f0", "--q", "--v0", "--k", "--convention", "--shortcut",
+                    *_NONIDEALITY_FLAGS, "--spp", "--seed", "--rate", "--duration", "--hysteresis", "--out"},
+}
+
+# a non-default value for every key, and how dump-config prints it
+EVERY_KEY = {
+    "f0": ("20kHz", "20000"), "q": ("123", "123"), "v0": ("10mV", "0.01"), "k": ("8", "8"),
+    "convention": ("FIRST_AT_OR_BELOW", "first_at_or_below"), "shortcut": ("true", "true"),
+    "offset": ("1mV", "0.001"), "dk": ("1%", "0.01"), "opamp": ("2mV", "0.002"), "leak": ("10", "10"),
+    "diode": ("3mV", "0.003"), "fbw": ("2MHz", "2000000"), "ffail": ("3MHz", "3000000"),
+    "noise": ("1e-4", "0.0001"), "sign": ("minus", "minus"), "spp": ("40", "40"), "seed": ("1e3", "1000"),
+    "rate": ("1MHz", "1000000"), "duration": ("2ms", "0.002"), "hysteresis": ("5mV", "0.005"),
+}
+
+
+class TestSchema:
+    def test_flag_inventory(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {o for a in p._actions for o in a.option_strings} for name, p in sub.choices.items()}
+        assert flags == FLAGS
+
+    @pytest.mark.parametrize("via", ["flags", "file"])
+    def test_every_key_parses_and_dumps_alike(self, capsys, tmp_path, via):
+        if via == "flags":
+            argv = [a for key, (text, _) in EVERY_KEY.items()
+                    for a in ([f"--{key}"] if key == "shortcut" else [f"--{key}", text])]
+        else:
+            cfg = tmp_path / "every.cfg"
+            cfg.write_text("".join(f"{key} = {text}\n" for key, (text, _) in EVERY_KEY.items()))
+            argv = ["--config", str(cfg)]
+        code, out, _ = run(capsys, "dump-config", *argv)
+        assert code == 0
+        assert out == "".join(f"{key} = {dumped}\n" for key, (_, dumped) in EVERY_KEY.items())
+
+    @pytest.mark.parametrize("key", ["spp", "seed"])
+    def test_non_integral_integer_key_exits_2(self, capsys, tmp_path, key):
+        code, out, err = run(capsys, "simulate", f"--{key}", "20.5")
+        assert (code, out, err) == (2, "", f"error: integer key {key!r} got '20.5'\n")
+        cfg = tmp_path / "int.cfg"
+        cfg.write_text(f"# integer keys\n{key} = 20.5\n")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {cfg}:2: integer key {key!r} got '20.5'\n")
+
+    @pytest.mark.parametrize("key", ["convention", "sign"])
+    def test_invalid_enum_key_exits_2_in_dump_config(self, capsys, tmp_path, key):
+        code, out, err = run(capsys, "dump-config", f"--{key}", "bogus")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key} must be one of ") and err.endswith(", got 'bogus'\n")
+        cfg = tmp_path / "enum.cfg"
+        cfg.write_text(f"{key} = bogus\n")
+        code, out, err = run(capsys, "dump-config", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cfg}:1: {key} must be one of ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("simulate", "--bogus"),
+            ("simulate", "--k"),
+            ("sweep", "theoretical"),
+            ("sweep", "theoretical", "--out", "never.csv", "--shortcut"),
+            ("measure",),
+            ("calibrate",),
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: qfm") and err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run(capsys, "simulate", "--help")
+        assert (code, err) == (0, "")
+        assert "--spp" in out
+
+    def test_oversized_synth_record_exits_2(self, capsys, tmp_path):
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run(capsys, "synth", "--duration", "1e300", "--rate", "1e300", "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "limit of 16777216 samples" in err
+        assert not out_csv.exists()
 
 
 class TestNonFiniteInput:

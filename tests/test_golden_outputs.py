@@ -4,7 +4,8 @@ The design digests and the Monte Carlo summary were recorded from the
 scalar implementation the crossing kernel replaced, the trace and
 frequency-sweep digests from the per-cycle simulator loop the array pass
 replaced; any change to the numbers, their formatting or the chart
-rendering shows up here.
+rendering shows up here.  The synth digest was recorded from the
+per-sample CSV writer that the column formatter replaced.
 """
 
 import hashlib
@@ -131,3 +132,10 @@ def test_seeded_monte_carlo_summary():
             0.03448152671070166,
         ),
     )
+
+
+def test_synth_cli_csv(tmp_path, capsys):
+    csv = tmp_path / "synth.csv"
+    assert main(["synth", "--seed", "3", "--noise", "1e-4", "--out", str(csv)]) == 0
+    assert "samples=25000" in capsys.readouterr().out
+    assert sha256(csv) == "23f9f6d7c4390c9fbc00b98b285a2436f56d33a809a42984d37814fce4f28180"

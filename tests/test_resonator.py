@@ -244,6 +244,13 @@ class TestSynth:
         with pytest.raises(ValueError):
             synth_waveform(params, 5e6, 1e-3, noise_rms=-1.0)
 
+    def test_rejects_oversized_record(self):
+        params = ResonatorParams(f0=50e3, q=300.0)
+        # 2e7 samples, and a sample count that overflows to inf
+        for rate, duration in ((5e6, 4.0), (1e300, 1e300)):
+            with pytest.raises(ValueError, match="limit of 16777216 samples"):
+                synth_waveform(params, rate, duration)
+
 
 class TestWaveform:
     def test_rejects_non_finite_rate_and_start(self):

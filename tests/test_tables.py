@@ -1,6 +1,7 @@
 """Shared table plumbing: number formatting and CSV emission rules."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,3 +58,19 @@ class TestSweepTable:
         t.to_csv(buf)
         assert buf.getvalue() == "x\n1.5\n"
         assert "\r" not in buf.getvalue()
+
+    def test_to_csv_writes_block_by_block(self, tmp_path):
+        # the text of a large table is never held whole, as one string
+        # or as a list of its blocks
+        table = SweepTable(columns=("t", "v"))
+        table.extend(np.arange(100_000) / 3.0, np.arange(100_000) / 7.0)
+        assert len(table) == 100_000  # joins the blocks before measuring
+        path = tmp_path / "table.csv"
+        tracemalloc.start()
+        try:
+            table.to_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text(encoding="utf-8") == table.to_csv_string()
+        assert peak < path.stat().st_size / 2
