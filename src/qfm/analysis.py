@@ -12,9 +12,10 @@ Three views of the error budget:
   through the closed-form model.
 
 Every closed-form count here is one call of the crossing kernel in
-``counting`` over a grid: (corner x Q) per k for the sweeps and
-``optimal_k``, whose envelope is built once for all k, and a block of
-trials for ``monte_carlo``.
+``counting`` over a grid: (corner x Q) per k for ``worst_case_sweep``,
+(corner x a block of Q) per k for ``optimal_k``, whose block envelopes
+are built once for all k and which stops scoring a k at the first block
+after which it cannot win, and a block of trials for ``monte_carlo``.
 
 ``optimal_k`` picks the division factor minimizing the worst-case error
 over a Q range; larger k suppresses count quantization while making the
@@ -60,6 +61,8 @@ __all__ = [
 
 # trials per kernel call in monte_carlo, which bounds its working memory
 _MC_BLOCK = 8192
+# Q points per kernel call in optimal_k, the unit of its early exit
+_Q_BLOCK = 1024
 _ALIGNED_CORNERS = ((1.0, 1.0, 1.0, 1.0, 1.0), (-1.0, -1.0, 1.0, 1.0, 1.0))
 
 
@@ -142,23 +145,31 @@ def optimal_k(
     Ties break toward smaller k, which also means a shorter measurement.
     The Q sampling step must resolve the count-quantization ripple
     (period roughly pi/ln k in Q) or the sampled maxima misrank nearby k.
+    Every k is scored on the first block of Q, then the k in order of
+    that score each go on block by block until they can no longer beat
+    the best k so far, which picks the same k as scoring every cell.
     """
-    ks = np.sort(check_k(list(k_grid)))
+    ks = check_k(list(k_grid))
     qs = expand_range(q_range)
     check_grid_size(len(_ALIGNED_CORNERS) * qs.size, f"the 2 corner x {qs.size} Q grid")
-    crossings = _crossings(qs, ni, f0, v0, _ALIGNED_CORNERS)
-    best_k = None
-    best_metric = math.inf
-    for k in ks.tolist():
-        metric = _worst_error(crossings(k, convention))
-        if metric < best_metric:
-            best_metric = metric
-            best_k = k
-    if best_k is None:
+    first, *rest = [
+        _crossings(qs[start:start + _Q_BLOCK], ni, f0, v0, _ALIGNED_CORNERS)
+        for start in range(0, qs.size, _Q_BLOCK)
+    ]
+    # (largest |error| so far, k): the smaller pair wins, so a tie goes to
+    # the smaller k and a k with a failing cell (inf) never wins
+    best = (math.inf, -math.inf)
+    for metric, k in sorted((_worst_error(first(k, convention)), k) for k in ks.tolist()):
+        for crossings in rest:
+            if not (metric, k) < best:
+                break
+            metric = max(metric, _worst_error(crossings(k, convention)))
+        best = min(best, (metric, k))
+    if best[1] == -math.inf:
         raise SimulationError(
             "no k on the grid completes the measurement over the requested Q range"
         )
-    return best_k
+    return best[1]
 
 
 def frequency_sweep(

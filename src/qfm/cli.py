@@ -396,6 +396,8 @@ def cmd_measure(ns) -> int:
     print("method=counting " + measurement_record(counting, mc))
     print(f"method=fit q={format_number(q_fit)}")
     print(f"disagreement={format_number(disagreement)}")
+    print(f"peaks={len(peaks)} hysteresis={format_number(hysteresis)} "
+          f"irregular_spacing={format_number(peaks.irregular_spacing)}")
     return EXIT_OK
 
 
@@ -435,7 +437,9 @@ _EXIT_CODES = {
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise ValueError(f"qfm {ns.command}: unrecognized arguments: {' '.join(extra)}")
         return _DISPATCH[ns.command](ns)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -356,10 +356,15 @@ def check_grid_size(points, what: str) -> None:
 
 def inclusive_range(lo: float, hi: float, step: float) -> np.ndarray:
     """lo, lo + step, ... through hi (to within half a step), sized
-    against MAX_GRID_POINTS first."""
+    against MAX_GRID_POINTS first; lo <= hi.  A step too small to
+    register against lo (1e17:1e17:1) would leave no point and is
+    refused."""
     stop = hi + step / 2.0
     check_grid_size((stop - lo) / step, f"range {lo:g}:{hi:g}:{step:g}")
-    return np.arange(lo, stop, step)
+    grid = np.arange(lo, stop, step)
+    if not grid.size:
+        raise ValueError(f"range {lo:g}:{hi:g}:{step:g} has no point: the step is below the resolution of {lo:g}")
+    return grid
 
 
 def expand_range(q_range) -> np.ndarray:

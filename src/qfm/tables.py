@@ -62,10 +62,8 @@ class SweepTable:
 
     def __init__(self, columns, rows=()):
         self.columns = tuple(columns)
-        # blocks of rows as added: one (values, na) pair per column; the
-        # empty first block's bool dtype gives way to any other on joining
-        empty = np.zeros(0, dtype=bool)
-        self._blocks = [[(empty, empty)] * len(self.columns)]
+        # blocks of rows as added: one (values, na) pair per column
+        self._blocks = []
         for row in rows:
             self.append(*row)
 
@@ -77,7 +75,8 @@ class SweepTable:
 
     def extend(self, *columns, na=None):
         """Add a block of rows given as one equal-length array per column;
-        ``na`` holds, per column, None or a boolean mask of its NA cells."""
+        ``na`` holds, per column, None or a boolean mask of its NA cells.
+        The arrays are kept as given (raveled), not copied."""
         if len(columns) != len(self.columns):
             raise ValueError(
                 f"row has {len(columns)} cells, table has {len(self.columns)} columns"
@@ -91,7 +90,12 @@ class SweepTable:
         self._blocks.append(block)
 
     def _data(self) -> list:
-        """One (values, na) pair per column, the blocks joined."""
+        """One (values, na) pair per column, the blocks joined (a bool
+        block, such as an NA cell's, gives way to an int or float one);
+        a table of one block returns it without a copy."""
+        if not self._blocks:
+            empty = np.zeros(0, dtype=bool)
+            return [(empty, empty)] * len(self.columns)
         if len(self._blocks) > 1:
             self._blocks = [[tuple(map(np.concatenate, zip(*pairs))) for pairs in zip(*self._blocks)]]
         return self._blocks[0]
@@ -102,7 +106,9 @@ class SweepTable:
     def column(self, name: str) -> np.ndarray:
         """One column as a float array; NA cells come back as NaN."""
         values, na = self._pair(name)
-        return np.where(na, np.nan, values.astype(float))
+        out = values.astype(float)
+        out[na] = np.nan
+        return out
 
     def cells(self, name: str) -> list:
         """One column as Python numbers, None in NA cells."""

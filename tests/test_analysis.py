@@ -1,9 +1,13 @@
 """Sweeps and statistics: corner envelopes, the interior optimum of the
 division factor, frequency regimes, and Monte Carlo containment."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+import qfm.analysis
 from qfm import (
     CircuitNonIdealities,
     Convention,
@@ -11,6 +15,8 @@ from qfm import (
     ResonatorParams,
     SampleBudgetError,
     SignAlignment,
+    SimulationError,
+    first_crossing,
     monte_carlo,
     optimal_k,
     pessimistic_nonidealities,
@@ -19,6 +25,9 @@ from qfm import (
     worst_case_sweep,
     frequency_sweep,
 )
+from qfm.analysis import _Q_BLOCK
+from qfm.circuit import detector_envelope
+from qfm.counting import check_grid_size, check_k, expand_range
 
 LAST = Convention.LAST_ABOVE
 IDEAL = CircuitNonIdealities()
@@ -115,7 +124,67 @@ class TestSweepGridLimit:
             worst_case_sweep(ks, (100.0, 1000.0, 1.0), PAIR, f0=F0)
 
 
+def reference_optimal_k(q_range, ni, k_grid, f0, v0=1.0, convention=LAST):
+    """optimal_k as it was before the Q blocks: every k scored over the
+    whole (2 aligned corners x Q) grid in one kernel call."""
+    ks = np.sort(check_k(list(k_grid)))
+    qs = expand_range(q_range)
+    check_grid_size(2 * qs.size, f"the 2 corner x {qs.size} Q grid")
+    signs = np.array([(1.0, 1.0, 1.0, 1.0, 1.0), (-1.0, -1.0, 1.0, 1.0, 1.0)])
+    mags = np.array([ni.divider_error, ni.comparator_offset, ni.opamp_offset, ni.leak_droop, ni.diode_residual])
+    divider, comparator, opamp, leak, diode = (signs * mags).T[:, :, None]
+    env = detector_envelope(qs, f0, v0, ni, opamp, leak, diode)
+    best_k = None
+    best_metric = math.inf
+    for k in ks.tolist():
+        c = first_crossing(env, k, convention, False, divider, comparator)
+        metric = float(np.max(np.abs(c.error))) if np.all(c.valid) else math.inf
+        if metric < best_metric:
+            best_metric = metric
+            best_k = k
+    if best_k is None:
+        raise SimulationError("no k on the grid completes the measurement over the requested Q range")
+    return best_k
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except SimulationError as exc:
+        return f"SimulationError: {exc}"
+
+
+B = _Q_BLOCK
+# Q grids of 1, B - 1, B, B + 1 and 18,001 points, B = optimal_k's block
+# of Q points, keyed by their size
+Q_GRIDS = {
+    1: (300.0, 300.0, 1.0),
+    B - 1: (100.0, 100.0 + (B - 2) * 0.25, 0.25),
+    B: (100.0, 100.0 + (B - 1) * 0.25, 0.25),
+    B + 1: (100.0, 100.0 + B * 0.25, 0.25),
+    18001: (100.0, 1000.0, 0.05),
+}
+# B + 1 points whose last one alone lies past Q = 4.8362e18, where k = 20's
+# count passes 2^62 on an ideal circuit (k = 19.5's only past 4.877e18):
+# only the second block rules k = 20 out
+_STEP = 4.8362e18 / (B - 0.5)
+LATE_FAILURE = (100.0, 100.0 + B * _STEP, _STEP)
+# at Q = 300 on an ideal circuit, k = 4 and k = 16 give the same last_above error
+TIED_K = [16.0, 4.0, 4.0, 2.5]
+BUDGETS = {
+    "pair": PAIR,
+    "ideal": IDEAL,
+    "pessimistic": pessimistic_nonidealities(),
+    # an offset over V0 drives the (-1, -1) corner's threshold negative for every k
+    "failing": CircuitNonIdealities(comparator_offset=2.0),
+}
+
+
 class TestOptimalK:
+    """The interior optimum, and the blocked, early-exit search returning
+    the k of the full-grid search (``reference_optimal_k``) or raising
+    its error in every case."""
+
     def test_paper_magnitudes_interior_optimum(self):
         k_grid = np.arange(2.0, 20.01, 0.25)
         k_star = optimal_k((100.0, 1000.0, 0.05), PAIR, k_grid, f0=F0)
@@ -144,6 +213,78 @@ class TestOptimalK:
         # corners make 1.2M cells per kernel call
         with pytest.raises(ValueError, match="the 2 corner x 600001 Q grid"):
             optimal_k((100.0, 600100.0, 1.0), PAIR, [5.0], f0=F0)
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @pytest.mark.parametrize("convention", list(Convention))
+    @pytest.mark.parametrize("f0", [1e3, 50e3, 1e6])
+    def test_same_k(self, budget, convention, f0):
+        ni = BUDGETS[budget]
+        k_grids = (np.arange(2.0, 20.01, 0.5), TIED_K)
+        for points, q_range in Q_GRIDS.items():
+            assert expand_range(q_range).size == points
+            for k_grid in k_grids:
+                expected = _outcome(reference_optimal_k, q_range, ni, k_grid, f0, convention=convention)
+                got = _outcome(optimal_k, q_range, ni, k_grid, f0, convention=convention)
+                assert got == expected, (points, list(k_grid))
+
+    def test_tie_goes_to_the_smaller_k(self):
+        q_range = Q_GRIDS[1]
+        errors = worst_case_sweep([4.0, 16.0], q_range, IDEAL, f0=F0).column("rel_error")
+        assert errors[0] == errors[1]
+        assert optimal_k(q_range, IDEAL, TIED_K, f0=F0) == 4.0
+        assert reference_optimal_k(q_range, IDEAL, TIED_K, f0=F0) == 4.0
+
+    def test_a_later_block_can_rule_a_k_out(self):
+        first_block = (100.0, 100.0 + (B - 1) * _STEP, _STEP)
+        assert expand_range(LATE_FAILURE).size == B + 1
+        assert optimal_k(first_block, IDEAL, [19.5, 20.0], f0=F0) == 20.0
+        assert optimal_k(LATE_FAILURE, IDEAL, [19.5, 20.0], f0=F0) == 19.5
+        assert reference_optimal_k(LATE_FAILURE, IDEAL, [19.5, 20.0], f0=F0) == 19.5
+
+    def test_a_larger_error_in_a_middle_block_counts(self, monkeypatch):
+        # under a kernel that makes k = 4.25, criterion 05's pick, err 100x
+        # for Q in (500, 600), past the first block and before the last,
+        # the next best k must win
+        def kernel(env, k, *args):
+            c = first_crossing(env, k, *args)
+            if k == 4.25:
+                middle = (env.q > 500.0) & (env.q < 600.0)
+                c = dataclasses.replace(c, error=np.where(middle, 100.0 * c.error, c.error))
+            return c
+
+        q_range, k_grid = (100.0, 1000.0, 0.05), np.arange(2.0, 20.01, 0.25)
+        runner_up = optimal_k(q_range, PAIR, k_grid[k_grid != 4.25], f0=F0)
+        monkeypatch.setattr(qfm.analysis, "first_crossing", kernel)
+        assert optimal_k(q_range, PAIR, k_grid, f0=F0) == runner_up != 4.25
+
+    def test_range_without_a_point_is_refused(self):
+        # 1e17 + 0.5 rounds back to 1e17, so arange leaves no point; the
+        # search would otherwise have no cell to score any k by
+        for call in (
+            lambda q_range: optimal_k(q_range, PAIR, [4.0, 6.0], f0=F0),
+            lambda q_range: worst_case_sweep([4.0], q_range, PAIR, f0=F0),
+        ):
+            with pytest.raises(ValueError, match="has no point"):
+                call((1e17, 1e17, 1.0))
+
+    def test_failing_budget_raises(self):
+        with pytest.raises(SimulationError, match="no k on the grid completes"):
+            optimal_k((100.0, 1000.0, 0.05), BUDGETS["failing"], [4.0, 6.0], f0=F0)
+
+    def test_criterion_05_evaluates_a_fraction_of_the_cells(self, monkeypatch):
+        cells = []
+
+        def counting(*args, **kwargs):
+            c = first_crossing(*args, **kwargs)
+            cells.append(c.error.size)
+            return c
+
+        monkeypatch.setattr(qfm.analysis, "first_crossing", counting)
+        k_grid = np.arange(2.0, 20.01, 0.25)
+        assert optimal_k((100.0, 1000.0, 0.05), PAIR, k_grid, f0=F0) == 4.25
+        full = k_grid.size * 2 * 18001
+        assert cells and max(cells) <= 2 * B
+        assert sum(cells) < 0.35 * full
 
 
 class TestFrequencySweep:

@@ -236,6 +236,23 @@ class TestSynthAndMeasure:
         assert float(fit["q"]) == pytest.approx(300.0, abs=0.3)
         assert disagreement < 0.002
 
+    def test_measure_reports_its_peaks(self, capsys, tmp_path):
+        wave = tmp_path / "wave.csv"
+        run(capsys, "synth", "--duration", "5ms", "--v0", "0.5", "--out", str(wave))
+        code, out, _ = run(capsys, "measure", str(wave))
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 4 and lines[3].startswith("peaks=")
+        fields = record_fields(lines[3])
+        assert fields.keys() == {"peaks", "hysteresis", "irregular_spacing"}
+        samples = np.loadtxt(wave, delimiter=",", skiprows=1)[:, 1]
+        # the auto hysteresis is 1 % of the largest |sample|
+        assert float(fields["hysteresis"]) == 0.01 * float(np.max(np.abs(samples)))
+        assert fields["irregular_spacing"] == "0"
+        assert int(fields["peaks"]) == 250  # 5 ms at 50 kHz
+        code, out, _ = run(capsys, "measure", str(wave), "--hysteresis", "2mV")
+        assert record_fields(out.strip().splitlines()[3])["hysteresis"] == "0.002"
+
     def test_measure_noisy_synth(self, capsys, tmp_path):
         # auto hysteresis rides over noise two decades under the signal
         wave = tmp_path / "noisy.csv"
@@ -414,6 +431,29 @@ class TestSchema:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: qfm") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("sweep", "theoretical", "--out", "never.csv", "--shortcut"),
+             "error: qfm sweep: unrecognized arguments: --shortcut\n"),
+            (("simulate", "--bogus", "1", "extra"),
+             "error: qfm simulate: unrecognized arguments: --bogus 1 extra\n"),
+            (("measure", "w.csv", "--rate", "1MHz"),
+             "error: qfm measure: unrecognized arguments: --rate 1MHz\n"),
+        ],
+    )
+    def test_unknown_argument_names_the_subcommand(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message)
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_axis_without_a_point_exits_2(self, capsys, tmp_path):
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run(capsys, "sweep", "theoretical", "--q", "1e17:1e17:1", "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "has no point" in err
+        assert not out_csv.exists()
 
     def test_help_exits_0(self, capsys):
         code, out, err = run(capsys, "simulate", "--help")

@@ -74,3 +74,40 @@ class TestSweepTable:
             tracemalloc.stop()
         assert path.read_text(encoding="utf-8") == table.to_csv_string()
         assert peak < path.stat().st_size / 2
+
+    def test_single_block_is_read_in_place(self):
+        # a table built by one extend answers len() and column() without
+        # copying its columns first
+        rows = 1_000_000
+        table = SweepTable(columns=("n", "v"))
+        table.extend(np.arange(rows), np.arange(rows) / 7.0, na=(None, np.arange(rows) % 5 == 0))
+        column_bytes = rows * 8
+        tracemalloc.start()
+        try:
+            assert len(table) == rows
+            len_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            v = table.column("v")
+            column_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len_peak < column_bytes / 10
+        # the returned column is the only allocation
+        assert column_peak - v.nbytes < column_bytes / 10
+        assert np.isnan(v[::5]).all() and v[1] == 1 / 7.0
+
+    def test_joined_blocks_keep_the_promoted_dtypes(self):
+        # an NA cell is stored as a bool; joined with ints it gives ints,
+        # with floats it gives floats
+        t = SweepTable(columns=("n", "x"))
+        t.append(None, None)
+        t.append(3, 2.5)
+        assert t.cells("n") == [None, 3] and type(t.cells("n")[1]) is int
+        assert t.cells("x") == [None, 2.5]
+        assert t.to_csv_string() == "n,x\nNA,NA\n3,2.5\n"
+        single = SweepTable(columns=("n",))
+        single.extend(np.arange(3))
+        assert single.to_csv_string() == "n\n0\n1\n2\n"
+        empty = SweepTable(columns=("a", "b"))
+        assert len(empty) == 0 and empty.to_csv_string() == "a,b\n"
+        assert empty.column("a").size == 0 and empty.rows == []
