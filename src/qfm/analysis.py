@@ -233,32 +233,24 @@ def monte_carlo(
     ni_distributions: CircuitNonIdealities,
     trials: int,
     seed: int = 0,
-    distribution: str = "uniform",
 ) -> MonteCarloSummary:
     """Closed-form measurement error under independent random draws of
     every error source.
 
     Each magnitude in ``ni_distributions`` is the half-width of a uniform
-    distribution centered on zero (tolerances are bounds, not variances);
-    with ``distribution="gaussian"`` it is the standard deviation instead,
-    in which case draws can leave the corner envelope.  Bandwidth and
-    failure knee stay fixed.  Trials whose measurement cannot complete
-    are counted as failures and excluded from the statistics.
-    Deterministic for a given seed.
+    distribution centered on zero (tolerances are bounds, not variances).
+    Bandwidth and failure knee stay fixed.  Trials whose measurement
+    cannot complete are counted as failures and excluded from the
+    statistics.  Deterministic for a given seed.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
-    if distribution not in ("uniform", "gaussian"):
-        raise ValueError(f"distribution must be 'uniform' or 'gaussian', got {distribution!r}")
     rng = np.random.default_rng(seed)
     errors = []
     # blocks draw the same stream as one (trials, 5) draw would
     for start in range(0, trials, _MC_BLOCK):
         size = (min(_MC_BLOCK, trials - start), 5)
-        if distribution == "uniform":
-            draws = rng.uniform(-1.0, 1.0, size=size)
-        else:
-            draws = rng.standard_normal(size=size)
+        draws = rng.uniform(-1.0, 1.0, size=size)
         crossings = _crossings(params.q, ni_distributions, params.f0, params.v0, draws)
         c = crossings(config.k, config.convention, config.shortcut)
         errors.append(c.error[c.valid])

@@ -48,6 +48,7 @@ from .counting import (
     check_k,
     check_range,
     first_crossing,
+    held_crossing,
     stop_threshold,
 )
 from .resonator import MAX_SAMPLES, ResonatorParams, derive_dynamics, synth_waveform
@@ -285,20 +286,11 @@ def _predict_aligned(params, config, ni, s_div, s_cmp):
     c = first_crossing(
         env, config.k, config.convention, config.shortcut, divider, s_cmp * ni.comparator_offset
     )
-    thr = float(c.threshold)
     check_range(c, params.q)
     if c.status != Failure.NONE.value:
         message = _FAILURE_MESSAGES[Failure(int(c.status))]
-        raise SimulationError(message.format(divider=divider, f0=params.f0, thr=thr))
-    n = int(c.n)
-    result = MeasurementResult(
-        n=n,
-        q_measured=float(c.q),
-        t_measure=n * float(env.period),
-        relative_error=float(c.error),
-        threshold_used=thr,
-    )
-    return result, int(c.m)
+        raise SimulationError(message.format(divider=divider, f0=params.f0, thr=float(c.threshold)))
+    return c.result(env.period), int(c.m)
 
 
 def predicted_measurement(
@@ -325,11 +317,16 @@ def predicted_measurement(
 # ---------------------------------------------------------------------------
 # time-domain path
 
-_NO_STOP = (
-    "signal decayed to the end of the simulation budget without the "
-    "stop logic completing; the threshold is unreachable or buried "
-    "in the noise floor"
-)
+# the sampled run's failures, in the words of the circuit's stop logic
+_SAMPLED_MESSAGES = {
+    Failure.NO_SIGNAL: "captured initial amplitude is zero; no threshold can be formed",
+    Failure.UNREACHABLE: (
+        "signal decayed to the end of the simulation budget without the "
+        "stop logic completing; the threshold is unreachable or buried "
+        "in the noise floor"
+    ),
+    Failure.NO_DECAY: "threshold crossed within the first pseudo-period; no decay was counted",
+}
 
 
 def _rising_edges(v: np.ndarray, hysteresis: float) -> np.ndarray:
@@ -391,9 +388,14 @@ def simulate_measurement(
     wave = synth_waveform(params, sample_rate, duration, noise_rms=ni.noise_rms, seed=noise_seed)
     v = wave.samples
 
-    edges = _rising_edges(v, 4.0 * ni.noise_rms)
+    hysteresis = 4.0 * ni.noise_rms
+    edges = _rising_edges(v, hysteresis)
     if edges.size == 0:
-        raise SimulationError(_NO_STOP)
+        raise SimulationError(
+            f"the clock comparator never fired: no rising edge through its "
+            f"+/-{hysteresis:.3g} V hysteresis (4 x noise_rms) in a ring-down "
+            f"from v0={params.v0:.3g} V"
+        )
     # cycle j spans samples starts[j] .. starts[j + 1] - 1; the samples
     # after the last edge belong to no complete cycle
     starts = np.concatenate(([0], edges[:-1]))
@@ -407,33 +409,13 @@ def simulate_measurement(
         np.where(true_pk < 0.0, 0.0, true_pk), params.f0, ni, lengths / sample_rate
     )
 
-    captured_v0 = float(captured[0])
-    if captured_v0 <= 0:
-        raise SimulationError(
-            "captured initial amplitude is zero; no threshold can be formed"
-        )
-    thr = stop_threshold(
-        captured_v0, config.k, s_div * ni.divider_error, s_cmp * ni.comparator_offset
+    c = held_crossing(
+        captured, config, s_div * ni.divider_error, s_cmp * ni.comparator_offset, params.q
     )
-    enable = captured > thr
-    disabled = np.flatnonzero(~enable[1:])
-    if disabled.size == 0:
-        raise SimulationError(_NO_STOP)
-    stop = int(disabled[0]) + 1  # cycles 1 .. stop - 1 were counted
-
-    n = config.n_from_crossing(stop)
-    if n < 1:
-        raise SimulationError(
-            "threshold crossed within the first pseudo-period; no decay was counted"
-        )
-    q = config.q_from_n(n)
-    result = MeasurementResult(
-        n=n,
-        q_measured=q,
-        t_measure=n * dyn.pseudo_period,
-        relative_error=(q - params.q) / params.q,
-        threshold_used=thr,
-    )
+    if c.status != Failure.NONE.value:
+        raise SimulationError(_SAMPLED_MESSAGES[Failure(int(c.status))])
+    stop = int(c.m)  # cycles 1 .. stop - 1 were counted
+    thr = float(c.threshold)
     cut = slice(0, stop + 1)
     rows = list(map(
         TraceRow,
@@ -442,6 +424,7 @@ def simulate_measurement(
         true_pk[cut].tolist(),
         captured[cut].tolist(),
         repeat(thr, stop + 1),
-        enable[cut].tolist(),
+        (captured[cut] > thr).tolist(),
     ))
-    return result, SimTrace(rows=rows, captured_v0=captured_v0, threshold=thr)
+    trace = SimTrace(rows=rows, captured_v0=float(captured[0]), threshold=thr)
+    return c.result(dyn.pseudo_period), trace

@@ -14,11 +14,13 @@ pseudo-period, LAST_ABOVE stops one earlier.  A peak exactly equal to
 the threshold counts as "at or below", which keeps the two conventions
 exactly one count apart everywhere.
 
-Every closed-form count in the package goes through one kernel:
-:class:`Envelope` models the held maxima of a peak detector (ideal by
-default) over any shape of Q and of the detector-side error values, and
+Every count in the package goes through one kernel: :class:`Envelope`
+models the held maxima of a peak detector (ideal by default) over any
+shape of Q and of the detector-side error values, and
 :func:`first_crossing` finds, per cell, the first maximum at or below
-the stop threshold, broadcast over k and the threshold-side errors.
+the stop threshold, broadcast over k and the threshold-side errors;
+:func:`held_crossing` answers the same for observed held maxima (the
+simulator, recorded waveforms), with n and Q derived by the same code.
 Cells the measurement cannot complete carry a :class:`Failure` code
 instead of raising, so one call covers a whole sweep grid; the scalar
 APIs are 0-d calls of the same kernel.
@@ -45,6 +47,7 @@ __all__ = [
     "Envelope",
     "Crossing",
     "first_crossing",
+    "held_crossing",
     "q_from_count",
     "q_from_count_shortcut",
     "count_pseudo_periods",
@@ -87,15 +90,6 @@ class MeasurementConfig:
 
     def __post_init__(self):
         check_k(self.k)
-
-    def n_from_crossing(self, m_star):
-        """The count n when maximum ``m_star`` is the first at or below
-        the threshold."""
-        return m_star if self.convention is Convention.FIRST_AT_OR_BELOW else m_star - 1
-
-    def q_from_n(self, n):
-        """Q from a count of n, by the 2n shortcut or the closed form."""
-        return q_from_count_shortcut(n) if self.shortcut else q_from_count(n, self.k)
 
 
 @dataclass(frozen=True)
@@ -219,12 +213,12 @@ def stop_threshold(v0_captured, k, divider, comparator):
 
 @dataclass(frozen=True)
 class Crossing:
-    """Per-cell outcome of :func:`first_crossing`.
+    """Per-cell outcome of :func:`first_crossing` or :func:`held_crossing`.
 
     ``m`` is the first maximum at or below ``threshold`` and ``n`` the
     count the convention derives from it; ``q`` and ``error`` are the
     measured Q and its relative error, NaN wherever ``status`` is not
-    ``Failure.NONE``.
+    ``Failure.NONE`` (``error`` also where the true Q is unknown).
     """
 
     m: np.ndarray
@@ -237,6 +231,18 @@ class Crossing:
     @property
     def valid(self) -> np.ndarray:
         return self.status == Failure.NONE.value
+
+    def result(self, period) -> MeasurementResult:
+        """A completed 0-d crossing as a measurement lasting n periods
+        [s]; its relative error is None where the true Q is unknown."""
+        n, error = int(self.n), float(self.error)
+        return MeasurementResult(
+            n=n,
+            q_measured=float(self.q),
+            t_measure=n * float(period),
+            relative_error=None if math.isnan(error) else error,
+            threshold_used=float(self.threshold),
+        )
 
 
 def first_crossing(
@@ -271,13 +277,34 @@ def first_crossing(
     status = np.where((status == 0) & ~(est < _MAX_INDEX), Failure.COUNT_RANGE.value, status)
     m = np.array(np.maximum(1.0, np.ceil(np.where(status == 0, est, 1.0))), dtype=np.int64)
     _settle(env, m, threshold, status == 0)
+    return _count(m, status, k, convention, shortcut, threshold, env.q)
 
+
+def held_crossing(held, config: MeasurementConfig, divider=0.0, comparator=0.0, q_true=math.nan) -> Crossing:
+    """:func:`first_crossing`'s 0-d answer over observed held maxima:
+    ``held[0]`` is V0, m the index of the first later maximum at or
+    below the stop threshold.  The status is NO_SIGNAL when V0 is not
+    positive and UNREACHABLE when no maximum falls to the threshold;
+    ``error`` is NaN when ``q_true`` is unknown."""
+    held = np.asarray(held, dtype=float)
+    threshold = stop_threshold(held[0], config.k, divider, comparator)
+    below = np.flatnonzero(held[1:] <= threshold)
+    status = Failure.NONE if below.size else Failure.UNREACHABLE
+    if not held[0] > 0:
+        status = Failure.NO_SIGNAL
+    m = np.array(below[0] + 1 if below.size else 0, dtype=np.int64)
+    return _count(m, np.array(status.value), config.k, config.convention, config.shortcut, threshold, q_true)
+
+
+def _count(m, status, k, convention, shortcut, threshold, q_true) -> Crossing:
+    """The crossing at first-crossing indices ``m``: the convention's n,
+    NO_DECAY where it is below 1, and, where ``status`` is still NONE,
+    Q by the 2n shortcut or the closed form with its relative error."""
     n = m if convention is Convention.FIRST_AT_OR_BELOW else m - 1
     status = np.where((status == 0) & (n < 1), Failure.NO_DECAY.value, status)
-    valid = status == 0
     counts = np.maximum(n, 1).astype(float)
-    q = np.where(valid, 2.0 * counts if shortcut else _closed_form_q(counts, k), np.nan)
-    return Crossing(m, n, q, (q - env.q) / env.q, threshold, status)
+    q = np.where(status == 0, 2.0 * counts if shortcut else _closed_form_q(counts, k), np.nan)
+    return Crossing(m, n, q, (q - q_true) / q_true, threshold, status)
 
 
 def _settle(env: Envelope, m: np.ndarray, threshold, todo) -> None:
@@ -357,13 +384,14 @@ def check_grid_size(points, what: str) -> None:
 def inclusive_range(lo: float, hi: float, step: float) -> np.ndarray:
     """lo, lo + step, ... through hi (to within half a step), sized
     against MAX_GRID_POINTS first; lo <= hi.  A step too small to
-    register against lo (1e17:1e17:1) would leave no point and is
-    refused."""
+    register against the grid's values would leave no point (1e17:1e17:1)
+    or repeat points (1e17:100000000000000064:1) and is refused."""
     stop = hi + step / 2.0
     check_grid_size((stop - lo) / step, f"range {lo:g}:{hi:g}:{step:g}")
     grid = np.arange(lo, stop, step)
-    if not grid.size:
-        raise ValueError(f"range {lo:g}:{hi:g}:{step:g} has no point: the step is below the resolution of {lo:g}")
+    if not grid.size or not np.all(np.diff(grid) > 0):
+        what = "repeats points" if grid.size else "has no point"
+        raise ValueError(f"range {lo:g}:{hi:g}:{step:g} {what}: the step is below the resolution of {lo:g}")
     return grid
 
 

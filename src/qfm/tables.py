@@ -60,12 +60,10 @@ def write_text(dest, text) -> None:
 class SweepTable:
     """Column-labelled result rows from a parameter sweep."""
 
-    def __init__(self, columns, rows=()):
+    def __init__(self, columns):
         self.columns = tuple(columns)
         # blocks of rows as added: one (values, na) pair per column
         self._blocks = []
-        for row in rows:
-            self.append(*row)
 
     def append(self, *values):
         """Add one row; None marks an NA cell."""

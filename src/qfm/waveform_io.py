@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .counting import MeasurementConfig, MeasurementResult
+from .counting import Failure, MeasurementConfig, MeasurementResult, held_crossing
 from .resonator import Waveform
 from .tables import SweepTable, format_number
 
@@ -92,6 +92,8 @@ class PeakList:
         values = np.asarray(self.values, dtype=float)
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and values must be matching 1-D arrays")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("peak times and values must be finite")
         if times.size and np.any(np.diff(times) <= 0):
             raise ValueError("peak times must be strictly increasing")
         object.__setattr__(self, "times", times)
@@ -244,13 +246,12 @@ def measure_q_counting(peaks: PeakList, config: MeasurementConfig) -> Measuremen
     """
     if len(peaks) < 2:
         raise ValueError("need at least 2 peaks (the first defines V0)")
-    v0 = float(peaks.values[0])
-    if v0 <= 0:
-        raise ValueError(f"first peak must be positive (got {v0})")
-    threshold = v0 / config.k
-    below = np.nonzero(peaks.values[1:] <= threshold)[0]
+    c = held_crossing(peaks.values, config)
+    if c.status == Failure.NO_SIGNAL.value:
+        raise ValueError(f"first peak must be positive (got {float(peaks.values[0])})")
+    threshold = float(c.threshold)
     spacing = peaks.median_spacing()
-    if below.size == 0:
+    if c.status == Failure.UNREACHABLE.value:
         extra = _estimate_missing(peaks, threshold, spacing)
         msg = (
             f"insufficient record length: the envelope stays above the "
@@ -259,19 +260,12 @@ def measure_q_counting(peaks: PeakList, config: MeasurementConfig) -> Measuremen
         if extra is not None:
             msg += f"; approximately {extra:.6g} s more record needed"
         raise InsufficientRecordError(msg, extra_seconds=extra)
-    n = config.n_from_crossing(int(below[0]) + 1)
-    if n < 1:
+    if c.status == Failure.NO_DECAY.value:
         raise ValueError(
             "measurement degenerate: the first maximum after V0 is already "
             "at or below the threshold"
         )
-    return MeasurementResult(
-        n=n,
-        q_measured=config.q_from_n(n),
-        t_measure=n * spacing,
-        relative_error=None,
-        threshold_used=threshold,
-    )
+    return c.result(spacing)
 
 
 def _estimate_missing(peaks, threshold, spacing):

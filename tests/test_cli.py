@@ -455,6 +455,15 @@ class TestSchema:
         assert err.count("\n") == 1 and "has no point" in err
         assert not out_csv.exists()
 
+    def test_axis_repeating_points_exits_2(self, capsys, tmp_path):
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run(
+            capsys, "sweep", "theoretical", "--q", "1e17:100000000000000064:1", "--out", str(out_csv)
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "repeats points" in err
+        assert not out_csv.exists()
+
     def test_help_exits_0(self, capsys):
         code, out, err = run(capsys, "simulate", "--help")
         assert (code, err) == (0, "")

@@ -1,13 +1,21 @@
 """The crossing kernel against a plain scalar search over the held maxima,
-cell by cell: same first crossing m*, same validity, bit-equal Q."""
+cell by cell: same first crossing m*, same validity, bit-equal Q; and the
+sampled paths' count over observed maxima against the kernel."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qfm import Convention, ResonatorParams, peak_value, q_from_count, q_from_count_shortcut
-from qfm.counting import Envelope, Failure, first_crossing
+from qfm import (
+    Convention,
+    MeasurementConfig,
+    ResonatorParams,
+    peak_value,
+    q_from_count,
+    q_from_count_shortcut,
+)
+from qfm.counting import Envelope, Failure, first_crossing, held_crossing
 
 FIRST = Convention.FIRST_AT_OR_BELOW
 LAST = Convention.LAST_ABOVE
@@ -159,3 +167,52 @@ def test_count_beyond_the_counter_is_flagged_not_wrapped():
     c = first_crossing(Envelope(np.array([300.0, 1e20])), 6.0)
     assert c.status.tolist() == [Failure.NONE, Failure.COUNT_RANGE]
     assert int(c.n[0]) == 171 and np.isnan(c.q[1])
+
+
+def test_held_crossing_matches_the_kernel_over_its_own_maxima():
+    # one rule: counting the envelope's maxima 0 .. m + 4 as observed gives
+    # the kernel's answer bit for bit wherever the kernel finds a crossing,
+    # and never a completed count where the kernel finds none
+    rng = np.random.default_rng(2026)
+    seen = set()
+    for _ in range(2000):
+        q = math.exp(rng.uniform(math.log(0.6), math.log(1e5)))
+        env = Envelope(
+            q,
+            math.exp(rng.uniform(math.log(1e2), math.log(1e7))),
+            rng.uniform(0.1, 2.0),
+            rng.uniform(0.5, 1.0),
+            rng.uniform(0.0, 1.0),
+            rng.uniform(-0.02, 0.02),
+            rng.uniform(-20.0, 20.0),
+            rng.uniform(-0.3, 0.3),
+        )
+        config = MeasurementConfig(
+            math.exp(rng.uniform(math.log(1.01), math.log(100.0))),
+            FIRST if rng.integers(2) else LAST,
+            bool(rng.integers(2)),
+        )
+        divider, comparator = rng.uniform(-0.5, 0.5), rng.uniform(-0.05, 0.05)
+        c = first_crossing(env, config.k, config.convention, config.shortcut, divider, comparator)
+        held = held_crossing(env.captured(np.arange(int(c.m) + 5)), config, divider, comparator, q)
+        seen.add(Failure(int(c.status)))
+        if c.status in (Failure.NONE, Failure.NO_DECAY):
+            for name in ("m", "n", "q", "error", "threshold", "status"):
+                a, b = np.asarray(getattr(held, name)), np.asarray(getattr(c, name))
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (name, q, config)
+        else:
+            assert held.status != Failure.NONE, (q, config)
+    assert {Failure.NONE, Failure.NO_DECAY, Failure.NO_SIGNAL, Failure.UNREACHABLE} <= seen
+
+
+def test_held_crossing_statuses_and_result():
+    config = MeasurementConfig(4.0, FIRST)
+    assert held_crossing([0.0, 0.1], config).status == Failure.NO_SIGNAL
+    assert held_crossing([1.0, 0.5, 0.3], config).status == Failure.UNREACHABLE
+    assert held_crossing([1.0, 0.25], MeasurementConfig(4.0, LAST)).status == Failure.NO_DECAY
+    c = held_crossing([1.0, 0.5, 0.3, 0.25, 0.2], config, divider=0.0, comparator=0.0, q_true=4.0)
+    assert (int(c.m), int(c.n), float(c.threshold)) == (3, 3, 0.25)
+    result = c.result(1e-3)
+    assert result.q_measured == q_from_count(3, 4.0) and result.t_measure == 3e-3
+    assert result.relative_error == (result.q_measured - 4.0) / 4.0
+    assert held_crossing([1.0, 0.2], config).result(1.0).relative_error is None

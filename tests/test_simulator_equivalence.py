@@ -72,7 +72,14 @@ def reference_simulate(params, config, ni, samples_per_period, seed, synth=refer
     _, m_star = _predict_aligned(params, config, ni, s_div, s_cmp)
     rate = samples_per_period * params.f0
     v = synth(params, rate, (m_star + 10) * dyn.pseudo_period, ni.noise_rms, noise_seed)
-    bounds = np.concatenate(([0], reference_edges(v, 4.0 * ni.noise_rms)))
+    edges = reference_edges(v, 4.0 * ni.noise_rms)
+    if edges.size == 0:
+        raise SimulationError(
+            f"the clock comparator never fired: no rising edge through its "
+            f"+/-{4.0 * ni.noise_rms:.3g} V hysteresis (4 x noise_rms) in a ring-down "
+            f"from v0={params.v0:.3g} V"
+        )
+    bounds = np.concatenate(([0], edges))
     rows = []
     captured_v0 = thr = None
     counted = 0
@@ -103,10 +110,13 @@ def reference_simulate(params, config, ni, samples_per_period, seed, synth=refer
             "stop logic completing; the threshold is unreachable or buried "
             "in the noise floor"
         )
-    n = config.n_from_crossing(counted + 1)
+    n = counted + 1 if config.convention is FIRST else counted
     if n < 1:
         raise SimulationError("threshold crossed within the first pseudo-period; no decay was counted")
-    q = config.q_from_n(n)
+    if config.shortcut:
+        q = 2.0 * n
+    else:
+        q = 0.5 * math.sqrt(1.0 + 4.0 * math.pi**2 * n**2 / math.log(config.k) ** 2)
     result = MeasurementResult(
         n=n,
         q_measured=q,

@@ -236,6 +236,37 @@ class TestMeasureCounting:
         with pytest.raises(ValueError):
             measure_q_counting(pair, MeasurementConfig(6.0, LAST))
 
+    def test_failure_messages(self):
+        def message(values, k=6.0):
+            peaks = PeakList(times=np.arange(len(values), dtype=float), values=np.array(values))
+            with pytest.raises(ValueError) as err:
+                measure_q_counting(peaks, MeasurementConfig(k, LAST))
+            return str(err.value)
+
+        assert message([-0.5, 0.1]) == "first peak must be positive (got -0.5)"
+        assert message([1.0, 0.1]) == (
+            "measurement degenerate: the first maximum after V0 is already at or below the threshold"
+        )
+        with pytest.raises(InsufficientRecordError) as err:
+            measure_q_counting(PeakList(np.arange(3.0), np.array([1.0, 1.0, 1.0])), MeasurementConfig(6.0))
+        assert str(err.value) == (
+            "insufficient record length: the envelope stays above the threshold 0.166667 V across all 3 peaks"
+        )
+        assert err.value.extra_seconds is None
+
+    def test_result_has_no_relative_error(self):
+        result = measure_q_counting(extract_peaks(synth()[1]), MeasurementConfig(6.0, LAST))
+        assert result.relative_error is None and result.threshold_used == 1.0 / 6.0
+
+    @pytest.mark.parametrize(
+        "times,values",
+        [([0.0, math.nan], [1.0, 0.5]), ([0.0, math.inf], [1.0, 0.5]),
+         ([0.0, 1.0], [math.nan, 0.5]), ([0.0, 1.0], [1.0, -math.inf])],
+    )
+    def test_peaklist_refuses_non_finite(self, times, values):
+        with pytest.raises(ValueError, match="peak times and values must be finite"):
+            PeakList(times=np.array(times), values=np.array(values))
+
 
 class TestLogDecrementFit:
     def test_recovers_q300(self):
