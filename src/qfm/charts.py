@@ -28,23 +28,21 @@ _PALETTE = (
 )
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 18, 34, 46
+_WIDTH, _HEIGHT, _Y = 720, 460, "rel_error"
 
 
 def svg_line_chart(
     table: SweepTable,
     x: str,
     series: str | None = None,
-    y: str = "rel_error",
     log_x: bool = False,
     title: str = "",
-    width: int = 720,
-    height: int = 460,
 ) -> str:
-    """Render |y| in percent against x, one polyline per distinct value
-    of the ``series`` column (single polyline when ``series`` is None).
-    Rows with missing (NA or NaN) cells are skipped.
+    """Render |rel_error| in percent against x, one polyline per distinct
+    value of the ``series`` column (single polyline when ``series`` is
+    None).  Rows with missing (NA or NaN) cells are skipped.
     """
-    xs, ys = table.column(x), table.column(y)
+    xs, ys = table.column(x), table.column(_Y)
     plotted = np.flatnonzero(~(np.isnan(xs) | np.isnan(ys)))
     if not plotted.size:
         raise ValueError("nothing to plot: every row has missing cells")
@@ -69,8 +67,8 @@ def svg_line_chart(
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     y_hi = float(ys.max()) * 1.08 or 1e-9
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(t):  # t on the (log-)transformed x axis
         return _MARGIN_L + (t - x_lo) / (x_hi - x_lo) * plot_w
@@ -79,13 +77,13 @@ def svg_line_chart(
         return _MARGIN_T + (1.0 - v / y_hi) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" font-family="sans-serif" font-size="14" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" font-family="sans-serif" font-size="14" '
             f'text-anchor="middle">{escape(title)}</text>'
         )
 
@@ -112,13 +110,13 @@ def svg_line_chart(
             f'text-anchor="end">{_fmt_tick(yv)}</text>'
         )
     parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 8}" font-family="sans-serif" '
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 8}" font-family="sans-serif" '
         f'font-size="12" text-anchor="middle">{escape(x)}{" (log)" if log_x else ""}</text>'
     )
     parts.append(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" font-family="sans-serif" font-size="12" '
         f'text-anchor="middle" transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">'
-        f"|{escape(y)}| [%]</text>"
+        f"|{_Y}| [%]</text>"
     )
 
     for idx, (key, at) in enumerate(groups.items()):

@@ -311,12 +311,11 @@ def cmd_sweep(ns) -> int:
     # the axis-valued flags must not reach the scalar config resolver
     axes = ("f0",) if ns.mode == "frequency" else ("k", "q")
     config, assigned = _resolve_config(ns, skip=axes)
+    convention = Convention(config.convention)
 
     if ns.mode == "theoretical":
         ks = parse_axis(ns.k) if ns.k else np.array([2.0, 4.0, 6.0, 8.0, 16.0])
-        table = theoretical_error_sweep(
-            ks, _parse_qrange(ns.q or "10:1000:1"), Convention(config.convention)
-        )
+        table = theoretical_error_sweep(ks, _parse_qrange(ns.q or "10:1000:1"), convention)
         chart = dict(x="q_true", series="k")
     elif ns.mode == "worstcase":
         ks = parse_axis(ns.k) if ns.k else np.arange(4.0, 8.01, 0.25)
@@ -326,7 +325,7 @@ def cmd_sweep(ns) -> int:
             config.nonidealities(),
             f0=config.f0,
             v0=config.v0,
-            convention=Convention(config.convention),
+            convention=convention,
         )
         chart = dict(x="q_true", series="k")
     else:
@@ -343,7 +342,7 @@ def cmd_sweep(ns) -> int:
             f0s,
             ni,
             v0=config.v0,
-            convention=Convention(config.convention),
+            convention=convention,
             samples_per_period=config.spp,
             seed=config.seed,
         )

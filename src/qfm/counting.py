@@ -28,7 +28,6 @@ APIs are 0-d calls of the same kernel.
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -197,13 +196,6 @@ class Envelope:
         peak = self.v0 * np.exp(-self.alpha * (m * self.period))
         return np.maximum(0.0, peak * self.gain - self.drop + self.opamp)
 
-    def at(self, index, shape) -> "Envelope":
-        """The envelope at the cells ``index`` of its broadcast to ``shape``."""
-        sub = copy.copy(self)
-        for name in ("alpha", "period", "drop", "opamp"):
-            setattr(sub, name, np.broadcast_to(getattr(self, name), shape)[index])
-        return sub
-
 
 def stop_threshold(v0_captured, k, divider, comparator):
     """Threshold the comparator applies: the captured V0 over the
@@ -261,8 +253,9 @@ def first_crossing(
     m = max(1, ceil(ln(gain v0 / (thr + drop - opamp)) / (alpha T)))
     and is settled with the same comparisons a scan over the maxima
     makes, so ties resolve as they would in a scan: a cell is settled
-    when captured(m) <= thr and (m = 1 or captured(m - 1) > thr).  Only
-    the cells the estimate misses are stepped further.  k must be > 1.
+    when captured(m) <= thr and (m = 1 or captured(m - 1) > thr).  The
+    cells the estimate misses are found by a doubling-then-bisection
+    search, in a number of rounds logarithmic in the miss.  k must be > 1.
     """
     k = np.asarray(k, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -308,30 +301,29 @@ def _count(m, status, k, convention, shortcut, threshold, q_true) -> Crossing:
 
 
 def _settle(env: Envelope, m: np.ndarray, threshold, todo) -> None:
-    """Step each estimate in ``m``, in place, to the first maximum at or
-    below the threshold.  Held maxima fall monotonically with m, so each
-    cell moves one way until its comparisons settle; after one pass over
-    the whole grid, only the cells the estimate missed are evaluated."""
-
-    def step(env, m, threshold):
-        above = env.captured(m) > threshold
-        return above.astype(np.int64) - (~above & (m > 1) & (env.captured(m - 1) <= threshold))
-
-    first = step(env, m, threshold)
-    cells = np.flatnonzero(todo & (first != 0))
-    if not cells.size:
-        return
-    shape = m.shape or (1,)
-    index = np.unravel_index(cells, shape)
-    sub = env.at(index, shape)
-    thr = np.broadcast_to(threshold, shape)[index]
-    mm = m.reshape(-1)[cells] + first.reshape(-1)[cells]
+    """Move each estimate in ``m``, in place, to the first maximum at or
+    below the threshold.  Held maxima fall monotonically with m, so one
+    search over the whole grid serves every cell (Bentley and Yao's
+    unbounded search): the bracket (lo, hi] around each estimate moves by
+    steps that double every round until captured(hi) <= thr and (lo = 0
+    or captured(lo) > thr), then is bisected down to one maximum.  A cell
+    costs O(log miss) rounds, and the first round's check, the one a scan
+    makes, returns at once when no estimate missed."""
+    lo, hi, step = m - 1, m, 1
     while True:
-        delta = step(sub, mm, thr)
-        if not delta.any():
+        down = todo & (lo > 0) & (env.captured(lo) <= threshold)
+        up = todo & ~down & (env.captured(hi) > threshold)
+        if not (down.any() or up.any()):
             break
-        mm += delta
-    m.reshape(-1)[cells] = mm
+        hi, lo = np.where(down, lo, hi + up * step), np.where(up, hi, np.maximum(lo - down * step, 0))
+        step *= 2
+    if step == 1:
+        return
+    while (gap := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        above = env.captured(mid) > threshold
+        lo, hi = np.where(gap & above, mid, lo), np.where(gap & ~above, mid, hi)
+    m[...] = hi
 
 
 def count_pseudo_periods(params: ResonatorParams, config: MeasurementConfig) -> int:
@@ -387,11 +379,14 @@ def inclusive_range(lo: float, hi: float, step: float) -> np.ndarray:
     register against the grid's values would leave no point (1e17:1e17:1)
     or repeat points (1e17:100000000000000064:1) and is refused."""
     stop = hi + step / 2.0
-    check_grid_size((stop - lo) / step, f"range {lo:g}:{hi:g}:{step:g}")
+    label = "range " + ":".join(repr(float(v)) for v in (lo, hi, step))
+    check_grid_size((stop - lo) / step, label)
+    if stop == hi and hi > lo:  # half a step vanishes against hi
+        stop = np.nextafter(hi, np.inf)
     grid = np.arange(lo, stop, step)
     if not grid.size or not np.all(np.diff(grid) > 0):
         what = "repeats points" if grid.size else "has no point"
-        raise ValueError(f"range {lo:g}:{hi:g}:{step:g} {what}: the step is below the resolution of {lo:g}")
+        raise ValueError(f"{label} {what}: the step is below the resolution of {float(lo)!r}")
     return grid
 
 

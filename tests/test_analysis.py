@@ -273,6 +273,8 @@ class TestOptimalK:
         with pytest.raises(ValueError, match="repeats points: the step is below the resolution"):
             expand_range((1e17, 1e17 + 64, 1.0))
         assert expand_range((1e17, 1e17 + 128, 32.0)).tolist() == [1e17 + 32 * i for i in range(5)]
+        # half of a 16 step vanishes against 1e17 + 64: the upper end stays in
+        assert expand_range((1e17, 1e17 + 64, 16.0)).tolist() == [1e17 + 16 * i for i in range(5)]
 
     def test_failing_budget_raises(self):
         with pytest.raises(SimulationError, match="no k on the grid completes"):

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from qfm import (
+    CircuitNonIdealities,
     Convention,
     MeasurementConfig,
     ResonatorParams,
     peak_value,
     q_from_count,
     q_from_count_shortcut,
+    theoretical_error_sweep,
+    worst_case_sweep,
 )
 from qfm.counting import Envelope, Failure, first_crossing, held_crossing
 
@@ -66,11 +69,12 @@ def reference(q, k, f0, v0, convention, shortcut, divider, comparator, opamp, le
     return Failure.NONE, hi, q_measured
 
 
-def draw_cells(rng, size):
-    """Random cells: Q log-uniform over 0.51-1e5, k over 1.01-100 and
+def draw_cells(rng, size, q_range=(0.51, 1e5)):
+    """Random cells: Q log-uniform over q_range, k over 1.01-100 and
     signed errors reaching divider <= -1 and negative thresholds."""
+    q_lo, q_hi = q_range
     return {
-        "q": np.exp(rng.uniform(math.log(0.51), math.log(1e5), size)),
+        "q": np.exp(rng.uniform(math.log(q_lo), math.log(q_hi), size)),
         "k": np.exp(rng.uniform(math.log(1.01), math.log(100.0), size)),
         "divider": rng.uniform(-1.2, 0.5, size),
         "comparator": rng.uniform(-0.05, 0.05, size),
@@ -95,13 +99,23 @@ def kernel(cells, f0, v0, convention, shortcut):
 
 
 # f0 above the 1 MHz failure knee brings in the diode residual, which
-# can swallow a small v0 entirely
-@pytest.mark.parametrize("f0,v0", [(3e2, 1.7), (5e4, 1.7), (1.3e6, 1.7), (3.5e6, 0.25)])
+# can swallow a small v0 entirely; at Q 1e12-1e18 the closed-form
+# estimate misses about a quarter of the cells, by up to ~200 maxima
+@pytest.mark.parametrize(
+    "f0,v0,q_range",
+    [
+        pytest.param(3e2, 1.7, (0.51, 1e5), id="300.0-1.7"),
+        pytest.param(5e4, 1.7, (0.51, 1e5), id="50000.0-1.7"),
+        pytest.param(1.3e6, 1.7, (0.51, 1e5), id="1300000.0-1.7"),
+        pytest.param(3.5e6, 0.25, (0.51, 1e5), id="3500000.0-0.25"),
+        pytest.param(2e5, 1.7, (1e12, 1e18), id="200000.0-1.7-high_q"),
+    ],
+)
 @pytest.mark.parametrize("convention", [FIRST, LAST])
 @pytest.mark.parametrize("shortcut", [False, True])
-def test_matches_scalar_reference(f0, v0, convention, shortcut):
+def test_matches_scalar_reference(f0, v0, q_range, convention, shortcut):
     rng = np.random.default_rng([int(f0), convention is FIRST, shortcut])
-    cells = draw_cells(rng, 250)
+    cells = draw_cells(rng, 250, q_range)
     c = kernel(cells, f0, v0, convention, shortcut)
     statuses = set()
     for i in range(cells["q"].size):
@@ -167,6 +181,35 @@ def test_count_beyond_the_counter_is_flagged_not_wrapped():
     c = first_crossing(Envelope(np.array([300.0, 1e20])), 6.0)
     assert c.status.tolist() == [Failure.NONE, Failure.COUNT_RANGE]
     assert int(c.n[0]) == 171 and np.isnan(c.q[1])
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: worst_case_sweep(
+            [6.0],
+            (100, 100 + 2048 * 2.362e15, 2.362e15),
+            CircuitNonIdealities(comparator_offset=10e-3, divider_error=0.01),
+            f0=50e3,
+        ),
+        lambda: theoretical_error_sweep([6.0], (1e18, 1e18 + 2048e12, 1e12)),
+    ],
+    ids=["worst_case", "theoretical"],
+)
+def test_missed_estimates_settle_in_logarithmic_work(monkeypatch, sweep):
+    # at Q near 1e18 the estimate misses by hundreds of maxima; settling a
+    # miss must cost a number of envelope evaluations logarithmic in it,
+    # not one per maximum missed
+    calls = []
+    captured = Envelope.captured
+
+    def counted(self, m):
+        calls.append(1)
+        return captured(self, m)
+
+    monkeypatch.setattr(Envelope, "captured", counted)
+    sweep()
+    assert len(calls) <= 64
 
 
 def test_held_crossing_matches_the_kernel_over_its_own_maxima():
