@@ -8,7 +8,6 @@ compared byte for byte.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -84,7 +83,7 @@ def svg_line_chart(
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="20" font-family="sans-serif" font-size="14" '
-            f'text-anchor="middle">{escape(title)}</text>'
+            f'text-anchor="middle">{_escape(title)}</text>'
         )
 
     # axes
@@ -111,7 +110,7 @@ def svg_line_chart(
         )
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 8}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle">{escape(x)}{" (log)" if log_x else ""}</text>'
+        f'font-size="12" text-anchor="middle">{_escape(x)}{" (log)" if log_x else ""}</text>'
     )
     parts.append(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" font-family="sans-serif" font-size="12" '
@@ -134,7 +133,7 @@ def svg_line_chart(
             )
             parts.append(
                 f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">'
-                f"{escape(series)}={_fmt_tick(key)}</text>"
+                f"{_escape(series)}={_fmt_tick(key)}</text>"
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -150,11 +149,16 @@ def _x_ticks(lo, hi, log_x):
     return list(np.linspace(lo, hi, 6))
 
 
+def _escape(text: str) -> str:
+    """XML character data: ``&`` first, then ``>`` and ``<``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _fmt_tick(v) -> str:
     try:
         v = float(v)
     except (TypeError, ValueError):
-        return escape(str(v))
+        return _escape(str(v))
     if v != 0 and (abs(v) >= 1e4 or abs(v) < 1e-2):
         return f"{v:.1e}"
     return f"{v:g}"

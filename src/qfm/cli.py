@@ -47,6 +47,7 @@ from .waveform_io import (
     extract_peaks,
     fit_q_log_decrement,
     load_waveform,
+    log_fit,
     measure_q_counting,
     measurement_record,
     waveform_to_csv,
@@ -393,7 +394,8 @@ def cmd_measure(ns) -> int:
     q_fit = fit_q_log_decrement(peaks)
     disagreement = abs(counting.q_measured - q_fit) / q_fit
     print("method=counting " + measurement_record(counting, mc))
-    print(f"method=fit q={format_number(q_fit)}")
+    residual = log_fit(peaks.values).rms
+    print(f"method=fit q={format_number(q_fit)} residual={format_number(residual)}")
     print(f"disagreement={format_number(disagreement)}")
     print(f"peaks={len(peaks)} hysteresis={format_number(hysteresis)} "
           f"irregular_spacing={format_number(peaks.irregular_spacing)}")

@@ -3,30 +3,48 @@
 The CSV interchange format is a ``t,v`` header followed by one
 ``time,volts`` row per sample (seconds and volts, decimal point, LF line
 endings, UTF-8).  Floats are written in their shortest exact form, so a
-synthesize/write/load round trip is bit-identical.
+synthesize/write/load round trip is bit-identical.  On input, CRLF or CR
+line endings and a UTF-8 byte-order mark are accepted.
 
-Peak extraction walks the trace with a max/min alternation state machine:
-a candidate maximum is accepted only after the signal falls at least the
-hysteresis below it, and the detector re-arms only after rising the same
-amount above the following minimum.  That suppresses noise micro-peaks
-(which would otherwise stop a counting measurement early) while leaving
-clean traces untouched at zero hysteresis.  Only positive-lobe maxima are
-reported, matching a single-polarity peak detector, and a record is
-expected to begin at or before the first oscillation maximum since the
-first extracted peak defines V0.
+The reader streams: past the header, ``np.loadtxt`` parses the rows in
+chunks, without building a list of lines or one float object per cell.
+It is trusted only when the rest of the file is ASCII without the line
+breaks ``str.splitlines`` cuts at besides CR and LF (VT, FF, FS, GS, RS),
+and when it returns ``(n, 2)`` finite values.  Anything else goes to the
+line parser, which reads the whole record again row by row and is the
+grammar of record: it takes what ``float()`` takes (``1_000``, non-ASCII
+digits, whitespace-only lines) and words every error with its line
+number.  Both stop at ``resonator.MAX_SAMPLES`` data rows: a longer
+record is refused before more rows are held.
+
+Peak extraction runs a max/min alternation state machine: a candidate
+maximum is accepted only after the signal falls at least the hysteresis
+below it, and the detector re-arms only after rising the same amount
+above the following minimum.  That suppresses noise micro-peaks (which
+would otherwise stop a counting measurement early) while leaving clean
+traces untouched at zero hysteresis.  A sample strictly between its
+neighbours can neither start, confirm nor end a lobe, so the machine
+visits only the non-strict turning points and the last sample.  Only
+positive-lobe maxima are reported, matching a single-polarity peak
+detector, and a record is expected to begin at or before the first
+oscillation maximum since the first extracted peak defines V0.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .counting import Failure, MeasurementConfig, MeasurementResult, held_crossing
-from .resonator import Waveform
+from .resonator import MAX_SAMPLES, Waveform
 from .tables import SweepTable, format_number
 
 __all__ = [
@@ -38,6 +56,8 @@ __all__ = [
     "extract_peaks",
     "measure_q_counting",
     "fit_q_log_decrement",
+    "LogFit",
+    "log_fit",
     "peaklist_to_csv",
     "measurement_record",
 ]
@@ -118,39 +138,13 @@ def waveform_to_csv(w: Waveform, dest) -> None:
 def load_waveform(source) -> Waveform:
     """Parse a ``t,v`` CSV from a path, text stream or byte stream.
 
-    Requires at least 3 rows and a uniform time step (median step,
-    1e-6 relative tolerance); the sample rate is derived from the median
-    step.
+    Requires at least 3 and at most ``MAX_SAMPLES`` rows and a uniform
+    time step (median step, 1e-6 relative tolerance); the sample rate is
+    derived from the median step.
     """
-    text = _read_text(source)
-    lines = text.splitlines()
-    if not lines:
-        raise WaveformFormatError("empty file")
-    header = lines[0].lstrip("﻿").strip()
-    if header != CSV_HEADER:
-        raise WaveformFormatError(f"expected header {CSV_HEADER!r}, got {header!r}", line=1)
-    times = []
-    volts = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        row = raw.strip()
-        if not row:
-            continue
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise WaveformFormatError(f"expected 2 comma-separated fields, got {len(parts)}", line=lineno)
-        try:
-            times.append(float(parts[0]))
-            volts.append(float(parts[1]))
-        except ValueError:
-            raise WaveformFormatError(f"unparseable number in {row!r}", line=lineno) from None
-    t, v = np.array(times), np.array(volts)
-    del times, volts  # the float lists take four times the arrays' memory
-    finite = np.isfinite(t) & np.isfinite(v)
-    if not finite.all():
-        data_lines = [n for n, raw in enumerate(lines[1:], start=2) if raw.strip()]
-        raise WaveformFormatError(
-            "non-finite value (nan or inf)", line=data_lines[int(np.argmin(finite))]
-        )
+    raw, errors = _byte_stream(source)
+    with raw:
+        t, v = _read_fast(raw) or _read_lines(raw, errors)
     if t.size < 3:
         raise WaveformFormatError(
             f"need at least 3 samples to establish a rate, found {t.size}"
@@ -164,13 +158,127 @@ def load_waveform(source) -> Waveform:
     return Waveform(sample_rate=1.0 / med, samples=v, start_time=float(t[0]))
 
 
-def _read_text(source) -> str:
+def _byte_stream(source):
+    """The source as a seekable byte stream, with the error handler that
+    decodes it back to the text it was (lone surrogates survive a text
+    stream's round trip)."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
+        raw = open(source, "rb")
+        if raw.seekable():
+            return raw, "strict"
+        with raw:  # a pipe: read it whole
+            return io.BytesIO(raw.read()), "strict"
     data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+    if isinstance(data, str):
+        return io.BytesIO(data.encode("utf-8", "surrogatepass")), "surrogatepass"
+    return io.BytesIO(data), "strict"
+
+
+# besides CR and LF, the ASCII characters str.splitlines breaks a line at;
+# np.loadtxt reads them as whitespace inside a row (the non-ASCII ones,
+# U+0085, U+2028 and U+2029, stop the ASCII decoder)
+_OTHER_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+# rows per np.loadtxt call, which allocates max_rows rows up front
+_BLOCK_ROWS = 1 << 16
+
+
+def _read_fast(raw):
+    """``(t, v)`` parsed by ``np.loadtxt``, or None when the line parser
+    must decide: an unusual header or byte, a parse error, another shape
+    or a non-finite cell."""
+    header = raw.readline().decode("utf-8", "replace").splitlines()
+    if len(header) != 1 or header[0].lstrip("\ufeff").strip() != CSV_HEADER:
+        return None
+    start = raw.tell()
+    for block in iter(partial(raw.read, 1 << 16), b""):
+        if any(c in block for c in _OTHER_BREAKS):
+            return None
+    raw.seek(start)
+    stream = io.TextIOWrapper(raw, encoding="ascii")  # CRLF and CR read as LF
+    blocks, rows = [], 0
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns when a call finds no row
+            while rows <= MAX_SAMPLES:
+                want = min(_BLOCK_ROWS, MAX_SAMPLES + 1 - rows)
+                block = np.loadtxt(
+                    stream, delimiter=",", comments=None, dtype=float, ndmin=2, max_rows=want
+                )
+                if block.size == 0:
+                    break
+                if block.shape[1] != 2:
+                    return None
+                blocks.append(block)
+                rows += len(block)
+                if len(block) < want:
+                    break
+    except ValueError:  # numpy's parse errors, and a non-ASCII byte
+        return None
+    finally:
+        stream.detach()  # leaves raw open for the line parser
+    if rows > MAX_SAMPLES:
+        raise _over_cap()
+    if not blocks:
+        return None
+    t = np.concatenate([block[:, 0] for block in blocks])
+    v = np.concatenate([block[:, 1] for block in blocks])
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        return None
+    return t, v
+
+
+def _read_lines(raw, errors):
+    """The record's grammar, row by row, with each error's line number."""
+    raw.seek(0)
+    # decoding it whole reports a bad byte before any row, at its offset
+    text = raw.read().decode("utf-8", errors)
+    lines = _lines(text)
+    header = next(lines, None)
+    if header is None:
+        raise WaveformFormatError("empty file")
+    header = header.lstrip("\ufeff").strip()
+    if header != CSV_HEADER:
+        raise WaveformFormatError(f"expected header {CSV_HEADER!r}, got {header!r}", line=1)
+    times = []
+    volts = []
+    for lineno, line in enumerate(lines, start=2):
+        row = line.strip()
+        if not row:
+            continue
+        parts = row.split(",")
+        if len(parts) != 2:
+            raise WaveformFormatError(f"expected 2 comma-separated fields, got {len(parts)}", line=lineno)
+        try:
+            t, v = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise WaveformFormatError(f"unparseable number in {row!r}", line=lineno) from None
+        if len(times) == MAX_SAMPLES:
+            raise _over_cap()
+        times.append(t)
+        volts.append(v)
+    t, v = np.array(times), np.array(volts)
+    del times, volts  # the float lists take four times the arrays' memory
+    finite = np.isfinite(t) & np.isfinite(v)
+    if not finite.all():
+        data_lines = (n for n, line in enumerate(_lines(text), start=1) if n > 1 and line.strip())
+        bad = next(islice(data_lines, int(np.argmin(finite)), None))
+        raise WaveformFormatError("non-finite value (nan or inf)", line=bad)
+    return t, v
+
+
+def _lines(text):
+    """``text.splitlines()``, cut after the first LF past each megabyte."""
+    start = 0
+    while start < len(text):
+        # a cut just after a LF splits no line and no CRLF
+        end = text.find("\n", start + (1 << 20)) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _over_cap() -> WaveformFormatError:
+    return WaveformFormatError(f"the record is over the limit of {MAX_SAMPLES} samples")
 
 
 _SEEK_MAX, _SEEK_MIN = 0, 1
@@ -190,12 +298,15 @@ def extract_peaks(
     if hysteresis < 0:
         raise ValueError(f"hysteresis must be >= 0 V (got {hysteresis})")
     v = w.samples
+    a, b, c = v[:-2], v[1:-1], v[2:]
+    visit = np.flatnonzero(((b >= a) & (b >= c)) | ((b <= a) & (b <= c))) + 1
+    if v.size > 1:
+        visit = np.append(visit, v.size - 1)
     state = _SEEK_MAX
-    cmax, imax = v[0], 0
-    cmin = v[0]
+    cmax, imax = float(v[0]), 0
+    cmin = cmax
     picked = []
-    for i in range(1, v.size):
-        x = v[i]
+    for i, x in zip(visit.tolist(), v[visit].tolist()):
         if state == _SEEK_MAX:
             if x > cmax:
                 cmax, imax = x, i
@@ -215,23 +326,23 @@ def extract_peaks(
             f"found only {len(picked)} confirmed peak(s); need at least 2 "
             "(record too short, hysteresis too large, or no ring-down present)"
         )
-    t0, rate = w.start_time, w.sample_rate
-    times = []
-    values = []
-    for i in picked:
-        ti, vi = i / rate, float(v[i])
-        if 0 < i < v.size - 1:
-            y1, y2, y3 = float(v[i - 1]), float(v[i]), float(v[i + 1])
-            den = y1 - 2.0 * y2 + y3
-            if den < 0:
-                d = 0.5 * (y1 - y3) / den
-                if abs(d) <= 1.0:
-                    ti = (i + d) / rate
-                    vi = y2 - 0.25 * (y1 - y3) * d
-        times.append(t0 + ti)
-        values.append(vi)
-    times = np.array(times)
-    values = np.array(values)
+    picked = np.array(picked)
+    ticks = picked / w.sample_rate
+    values = v[picked]
+    # the vertex of the parabola through each inner peak and its
+    # neighbours, where it opens downward and stays within one sample
+    j = np.flatnonzero((picked > 0) & (picked < v.size - 1))
+    i = picked[j]
+    y1, y2, y3 = v[i - 1], v[i], v[i + 1]
+    den = y1 - 2.0 * y2 + y3
+    tilt = y1 - y3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 0.5 * tilt / den
+    ok = (den < 0) & (np.abs(d) <= 1.0)
+    d = d[ok]
+    ticks[j[ok]] = (i[ok] + d) / w.sample_rate
+    values[j[ok]] = y2[ok] - 0.25 * tilt[ok] * d
+    times = w.start_time + ticks
     spacing = np.diff(times)
     med = float(np.median(spacing))
     irregular = bool(np.any(np.abs(spacing - med) > SPACING_BAND * med))
@@ -268,11 +379,29 @@ def measure_q_counting(peaks: PeakList, config: MeasurementConfig) -> Measuremen
     return c.result(spacing)
 
 
+class LogFit(NamedTuple):
+    """Least-squares line ln(value) = slope * index + intercept, and the
+    RMS of its residuals in nepers."""
+
+    slope: float
+    intercept: float
+    rms: float
+
+
+def log_fit(values) -> LogFit:
+    """Fit a line through ln(values) against 0, 1, 2, ... (all values > 0)."""
+    m = np.arange(len(values))
+    y = np.log(values)
+    slope, intercept = np.polyfit(m, y, 1)
+    rms = math.sqrt(float(np.mean((y - (slope * m + intercept)) ** 2)))
+    return LogFit(float(slope), float(intercept), rms)
+
+
 def _estimate_missing(peaks, threshold, spacing):
     vals = peaks.values
     if np.any(vals <= 0) or len(peaks) < 2:
         return None
-    slope = np.polyfit(np.arange(len(peaks)), np.log(vals), 1)[0]
+    slope = log_fit(vals).slope
     if slope >= 0:
         return None
     m_cross = math.log(float(vals[0]) / threshold) / (-slope)
@@ -292,7 +421,7 @@ def fit_q_log_decrement(peaks: PeakList) -> float:
         raise ValueError(f"need at least 5 peaks for a stable fit (got {len(peaks)})")
     if np.any(peaks.values <= 0):
         raise ValueError("all peak values must be positive to fit the log envelope")
-    slope = np.polyfit(np.arange(len(peaks)), np.log(peaks.values), 1)[0]
+    slope = log_fit(peaks.values).slope
     if not slope < 0:
         raise ValueError(
             "degenerate fit: peaks do not decay (slope of the log envelope is >= 0)"

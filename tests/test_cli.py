@@ -1,13 +1,17 @@
 """CLI surface: records on stdout, exit codes, config files, ranges."""
 
 import argparse
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qfm import cli
+import qfm
+from qfm import cli, waveform_io
 from qfm.cli import RunConfig, load_config_file, main, parse_axis, parse_value
 
 
@@ -261,6 +265,24 @@ class TestSynthAndMeasure:
         assert code == 0
         q = float(record_fields(out.strip().splitlines()[0].split(" ", 1)[1])["q"])
         assert q == pytest.approx(300.0, rel=0.01)
+
+    def test_measure_reports_its_fit_residual(self, capsys, tmp_path):
+        wave = tmp_path / "wave.csv"
+        run(capsys, "synth", "--duration", "5ms", "--out", str(wave))
+        code, out, _ = run(capsys, "measure", str(wave))
+        assert code == 0
+        fit = record_fields(out.strip().splitlines()[1].replace("method=fit ", ""))
+        assert fit.keys() == {"q", "residual"}
+        # a clean ring-down leaves only the parabolic refinement's error
+        assert 0 <= float(fit["residual"]) < 1e-4
+
+    def test_record_over_the_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        wave = tmp_path / "wave.csv"
+        run(capsys, "synth", "--duration", "5ms", "--out", str(wave))
+        monkeypatch.setattr(waveform_io, "MAX_SAMPLES", 1000)
+        code, out, err = run(capsys, "measure", str(wave))
+        assert (code, out) == (2, "")
+        assert err == "error: the record is over the limit of 1000 samples\n"
 
     def test_truncated_record_exits_5(self, capsys, tmp_path):
         wave = tmp_path / "short.csv"
@@ -531,3 +553,12 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match="points"):
                 parse_axis(text)
         assert len(parse_axis("1:1e6:1")) == 1_000_000
+
+
+def test_import_loads_no_xml_or_http():
+    # xml.sax.saxutils alone would pull in urllib.request and http.client
+    probe = "import sys, qfm.cli; print(*[m for m in ('xml', 'urllib.request', 'http.client') if m in sys.modules])"
+    src = os.path.dirname(os.path.dirname(qfm.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""

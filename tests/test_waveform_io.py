@@ -1,11 +1,24 @@
 """CSV round trips, peak extraction against the closed forms, counting on
-extracted peaks, and the log-decrement cross-check."""
+extracted peaks, and the log-decrement cross-check.
+
+``reference_load_waveform`` and ``reference_extract_peaks`` are the
+whole-text reader and the per-sample peak loop the streamed reader and
+the turning-point walk replaced, kept here as oracles: every result and
+every error message must come out the same.
+"""
 
 import io
 import math
+import os
+import threading
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfm import (
     Convention,
@@ -20,6 +33,7 @@ from qfm import (
     extract_peaks,
     fit_q_log_decrement,
     load_waveform,
+    log_fit,
     measure_q_counting,
     measurement_record,
     peak_time,
@@ -29,9 +43,130 @@ from qfm import (
     synth_waveform,
     waveform_to_csv,
 )
+from qfm import waveform_io
+from qfm.waveform_io import CSV_HEADER, SPACING_BAND, UNIFORMITY_TOL
 
 FIRST = Convention.FIRST_AT_OR_BELOW
 LAST = Convention.LAST_ABOVE
+
+
+def reference_load_waveform(source) -> Waveform:
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text(encoding="utf-8")
+    else:
+        text = source.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+    lines = text.splitlines()
+    if not lines:
+        raise WaveformFormatError("empty file")
+    header = lines[0].lstrip("\ufeff").strip()
+    if header != CSV_HEADER:
+        raise WaveformFormatError(f"expected header {CSV_HEADER!r}, got {header!r}", line=1)
+    times = []
+    volts = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        row = raw.strip()
+        if not row:
+            continue
+        parts = row.split(",")
+        if len(parts) != 2:
+            raise WaveformFormatError(f"expected 2 comma-separated fields, got {len(parts)}", line=lineno)
+        try:
+            times.append(float(parts[0]))
+            volts.append(float(parts[1]))
+        except ValueError:
+            raise WaveformFormatError(f"unparseable number in {row!r}", line=lineno) from None
+    t, v = np.array(times), np.array(volts)
+    finite = np.isfinite(t) & np.isfinite(v)
+    if not finite.all():
+        data_lines = [n for n, raw in enumerate(lines[1:], start=2) if raw.strip()]
+        raise WaveformFormatError(
+            "non-finite value (nan or inf)", line=data_lines[int(np.argmin(finite))]
+        )
+    if t.size < 3:
+        raise WaveformFormatError(
+            f"need at least 3 samples to establish a rate, found {t.size}"
+        )
+    dt = np.diff(t)
+    med = float(np.median(dt))
+    if med <= 0 or np.any(np.abs(dt - med) > UNIFORMITY_TOL * abs(med)):
+        raise WaveformFormatError(
+            "non-uniform sampling: time steps deviate beyond 1e-6 relative from the median"
+        )
+    return Waveform(sample_rate=1.0 / med, samples=v, start_time=float(t[0]))
+
+
+def reference_extract_peaks(w, hysteresis=0.0, min_amplitude=0.0):
+    if hysteresis < 0:
+        raise ValueError(f"hysteresis must be >= 0 V (got {hysteresis})")
+    v = w.samples
+    seek_max = True
+    cmax, imax = v[0], 0
+    cmin = v[0]
+    picked = []
+    for i in range(1, v.size):
+        x = v[i]
+        if seek_max:
+            if x > cmax:
+                cmax, imax = x, i
+            elif x <= cmax - hysteresis:
+                if cmax > 0 and cmax >= min_amplitude:
+                    picked.append(imax)
+                seek_max = False
+                cmin = x
+        else:
+            if x < cmin:
+                cmin = x
+            elif x >= cmin + hysteresis:
+                seek_max = True
+                cmax, imax = x, i
+    if len(picked) < 2:
+        raise ValueError(
+            f"found only {len(picked)} confirmed peak(s); need at least 2 "
+            "(record too short, hysteresis too large, or no ring-down present)"
+        )
+    t0, rate = w.start_time, w.sample_rate
+    times = []
+    values = []
+    for i in picked:
+        ti, vi = i / rate, float(v[i])
+        if 0 < i < v.size - 1:
+            y1, y2, y3 = float(v[i - 1]), float(v[i]), float(v[i + 1])
+            den = y1 - 2.0 * y2 + y3
+            if den < 0:
+                d = 0.5 * (y1 - y3) / den
+                if abs(d) <= 1.0:
+                    ti = (i + d) / rate
+                    vi = y2 - 0.25 * (y1 - y3) * d
+        times.append(t0 + ti)
+        values.append(vi)
+    times = np.array(times)
+    values = np.array(values)
+    spacing = np.diff(times)
+    med = float(np.median(spacing))
+    irregular = bool(np.any(np.abs(spacing - med) > SPACING_BAND * med))
+    return PeakList(times=times, values=values, irregular_spacing=irregular)
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call gives: ("ok", result) or (exception type, message, line)."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except (ValueError, UnicodeError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def assert_same_load(source):
+    """load_waveform and the whole-text reader agree on a fresh source."""
+    new = outcome(load_waveform, source())
+    old = outcome(reference_load_waveform, source())
+    if old[0] != "ok":
+        assert new == old
+        return
+    assert new[0] == "ok"
+    assert new[1].sample_rate == old[1].sample_rate and new[1].start_time == old[1].start_time
+    assert np.array_equal(new[1].samples, old[1].samples)
 
 
 def synth(q=300.0, f0=50e3, rate=5e6, periods=None, noise=0.0, seed=0, v0=1.0):
@@ -114,6 +249,146 @@ class TestCsvRoundTrip:
             load_waveform(io.StringIO("t,v\n0,1\n1e-7,0.9\n"))
 
 
+# what a writer or a hand edit may leave in a cell
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([
+        "1_000", "#1", "\u0661", "\u0661.\u0665", "\uff11", "1e5", "+.5", "-0", "1.", ".", "",
+        "nan", "-inf", "Infinity", "0x10", "1e400", " 2 ", "\t3", "1d5", "\u20034", "1\x00",
+    ]),
+)
+# between and after the cells of a row
+SEPARATORS = st.sampled_from([",", ",", ",", " , ", ",\x0c", "\x1c,", ",\x85", ",,", ";"])
+TAILS = st.sampled_from(["", "", "", ",", " ", "\x0c", "\t", "\u2028"])
+# a whole line slipped between rows
+INSERTS = st.sampled_from(["", "   ", "\t", "\x0c", "\x0b", "\x1d", "\x1e", "#comment", ",", "1", "\ufeff"])
+HEADERS = st.sampled_from(["t,v", "t,v", "t,v", "t,v", "\ufefft,v", "\ufeff\ufefft,v", " t,v\t", "t,v\x0c", "time,volts", ""])
+ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_records(draw):
+    """A ``t,v`` record on a uniform grid with at most a few faults."""
+    dt = draw(st.sampled_from([1e-7, 0.5, 3.0]))
+    lines = [draw(HEADERS)]
+    for i in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)):
+            cells = repr(i * dt), repr(draw(st.floats(-10, 10)))
+            lines.append(cells[0] + "," + cells[1])
+        else:
+            lines.append(draw(CELLS) + draw(SEPARATORS) + draw(CELLS) + draw(TAILS))
+        if not draw(st.integers(0, 6)):
+            lines.append(draw(INSERTS))
+    text = "".join(line + draw(ENDINGS) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestStreamedReader:
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_records(), as_bytes=st.booleans())
+    def test_same_outcome_as_whole_text_reader(self, text, as_bytes):
+        assert_same_load(lambda: io.BytesIO(text.encode()) if as_bytes else io.StringIO(text))
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_records(), block=st.sampled_from([1, 2, 1 << 16]), cap=st.sampled_from([3, 5, 2**24]))
+    def test_fast_path_agrees_with_line_parser(self, text, block, cap):
+        with mock.patch.object(waveform_io, "_BLOCK_ROWS", block), mock.patch.object(waveform_io, "MAX_SAMPLES", cap):
+            raw = io.BytesIO(text.encode())
+            fast = outcome(waveform_io._read_fast, raw)
+            slow = outcome(waveform_io._read_lines, raw, "strict")
+        if fast[0] != "ok":
+            assert fast == slow  # the cap, with the same message
+        elif fast[1] is not None:
+            assert slow[0] == "ok"
+            for a, b in zip(fast[1], slow[1]):
+                assert np.array_equal(a, b)
+
+    def test_fast_path_takes_written_records(self):
+        _, w = synth(periods=20, noise=1e-4, seed=3)
+        buf = io.StringIO()
+        waveform_to_csv(w, buf)
+        for text in (buf.getvalue(), "\ufeff" + buf.getvalue().replace("\n", "\r\n")):
+            t, v = waveform_io._read_fast(io.BytesIO(text.encode()))
+            assert np.array_equal(v, w.samples) and np.array_equal(t, w.times())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,v\n0,1\n1,2\x0c3,4\n2,5\n",  # a form feed splits a line
+            "t,v\n0,1\n1_000,2\n",
+            "t,v\n0,1\n  \n1,2\n2,3\n",
+            "t,v\n0,\u0661\n1,2\n2,3\n",
+            "t,v\n0,1\n1,nan\n2,3\n",
+        ],
+    )
+    def test_line_parser_decides_unusual_records(self, text):
+        assert waveform_io._read_fast(io.BytesIO(text.encode())) is None
+        assert_same_load(lambda: io.StringIO(text))
+
+    def test_crlf_and_bom_path(self, tmp_path):
+        path = tmp_path / "wave.csv"
+        path.write_bytes("\ufefft,v\r\n0,1\r\n0.5,-1\r\n1,0.25\r\n".encode())
+        w = load_waveform(path)
+        assert w.sample_rate == 2.0 and w.samples.tolist() == [1.0, -1.0, 0.25]
+
+    def test_lone_surrogate_in_a_text_stream(self):
+        # worded as the cell's parse error, not as an encoding error
+        assert_same_load(lambda: io.StringIO("t,v\n0,1\n1,\ud800\n2,3\n"))
+        with pytest.raises(WaveformFormatError, match="line 3: unparseable number"):
+            load_waveform(io.StringIO("t,v\n0,1\n1,\ud800\n2,3\n"))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_path(self, tmp_path):
+        path = tmp_path / "wave.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("t,v\n0,1\n1,2\n2,3\n",))
+        writer.start()
+        try:
+            w = load_waveform(path)
+        finally:
+            writer.join()
+        assert w.samples.tolist() == [1.0, 2.0, 3.0]
+
+    def test_bad_byte_reported_at_its_file_offset(self, tmp_path):
+        data = b"t,v\n" + b"".join(b"%d,0.5\n" % i for i in range(20_000)) + b"7,\xff\n"
+        path = tmp_path / "wave.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as err:
+            load_waveform(path)
+        assert str(err.value) == str(outcome(reference_load_waveform, path)[1])
+        assert f"position {len(data) - 2}" in str(err.value)
+
+    @pytest.mark.parametrize("unusual", [False, True])
+    def test_record_cap(self, monkeypatch, unusual):
+        monkeypatch.setattr(waveform_io, "MAX_SAMPLES", 4)
+        first = "0,1_000" if unusual else "0,1"  # 1_000 leaves the row to the line parser
+        rows = [first] + [f"{i},1" for i in range(1, 6)]
+        fits = "t,v\n" + "\n".join(rows[:4]) + "\n"
+        assert len(load_waveform(io.StringIO(fits))) == 4
+        # the fifth row is refused before a malformed sixth is read
+        over = "t,v\n" + "\n".join(rows[:5]) + "\nnot,a,row\n"
+        with pytest.raises(WaveformFormatError) as err:
+            load_waveform(io.StringIO(over))
+        assert str(err.value) == "the record is over the limit of 4 samples"
+        assert err.value.line is None
+
+    def test_memory_is_bounded_by_the_arrays(self, tmp_path):
+        # the whole-text reader peaked at 48.9 MB on this record
+        params = ResonatorParams(f0=50e3, q=2000.0, v0=1.0)
+        w = synth_waveform(params, 2.5e6, 0.1, noise_rms=1e-3, seed=1)
+        path = tmp_path / "wave.csv"
+        waveform_to_csv(w, path)
+        tracemalloc.start()
+        try:
+            loaded = load_waveform(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 250_000
+        assert peak < 48.9e6 / 2
+
+
 class TestExtractPeaks:
     def test_clean_peaks_match_closed_forms(self):
         params, w = synth(periods=105)
@@ -188,6 +463,45 @@ class TestExtractPeaks:
         v[(tt >= 1.95) & (tt <= 2.55)] = -0.5  # swallow one positive lobe
         w = Waveform(sample_rate=rate, samples=v)
         assert extract_peaks(w).irregular_spacing
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=40),
+        hysteresis=st.integers(0, 3),
+        min_amplitude=st.sampled_from([0.0, 1.0, 2.5, 4.0]),
+        rate=st.sampled_from([1.0, 3.0, 5e6]),
+        start=st.sampled_from([0.0, -2.5, 1e-3]),
+    )
+    def test_turning_points_match_full_loop(self, runs, hysteresis, min_amplitude, rate, start):
+        # integer samples with plateaus: ties at every turn
+        samples = np.array([float(v) for v, n in runs for _ in range(n)])
+        w = Waveform(sample_rate=rate, samples=samples, start_time=start)
+        self.assert_same_peaks(w, float(hysteresis), min_amplitude)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
+        hysteresis=st.floats(0, 50),
+    )
+    def test_turning_points_match_full_loop_on_floats(self, samples, hysteresis):
+        self.assert_same_peaks(Waveform(sample_rate=1e6, samples=np.array(samples)), hysteresis, 0.0)
+
+    @pytest.mark.parametrize("noise,hysteresis", [(0.0, 0.0), (1e-4, 1e-3), (1e-2, 0.0), (1e-2, 5e-2)])
+    def test_turning_points_match_full_loop_on_ringdowns(self, noise, hysteresis):
+        _, w = synth(q=50.0, periods=40, noise=noise, seed=4)
+        self.assert_same_peaks(w, hysteresis, 0.0)
+
+    @staticmethod
+    def assert_same_peaks(w, hysteresis, min_amplitude):
+        new = outcome(extract_peaks, w, hysteresis, min_amplitude)
+        old = outcome(reference_extract_peaks, w, hysteresis, min_amplitude)
+        if old[0] != "ok":
+            assert new == old
+            return
+        assert new[0] == "ok"
+        assert np.array_equal(new[1].times, old[1].times)
+        assert np.array_equal(new[1].values, old[1].values)
+        assert new[1].irregular_spacing == old[1].irregular_spacing
 
     def test_peaklist_csv(self, tmp_path):
         _, w = synth(periods=12)
@@ -269,6 +583,21 @@ class TestMeasureCounting:
 
 
 class TestLogDecrementFit:
+    @pytest.mark.parametrize("n", [2, 5, 40, 300])
+    def test_log_fit_slope_is_polyfits(self, n):
+        values = np.exp(-0.01 * np.arange(n)) * (1 + 1e-3 * np.sin(np.arange(n)))
+        fit = log_fit(values)
+        slope, intercept = np.polyfit(np.arange(n), np.log(values), 1)
+        assert fit.slope == slope and fit.intercept == intercept
+        resid = np.log(values) - (slope * np.arange(n) + intercept)
+        assert fit.rms == pytest.approx(math.sqrt(np.mean(resid**2)), rel=1e-12)
+
+    def test_log_fit_residual_vanishes_on_a_pure_decay(self):
+        fit = log_fit(0.5 * np.exp(-0.02 * np.arange(50)))
+        assert fit.slope == pytest.approx(-0.02, rel=1e-12)
+        assert fit.intercept == pytest.approx(math.log(0.5), rel=1e-12)
+        assert fit.rms < 1e-12
+
     def test_recovers_q300(self):
         _, w = synth(periods=120)
         peaks = extract_peaks(w)
