@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -52,13 +53,14 @@ from .counting import (
     stop_threshold,
 )
 from .resonator import MAX_SAMPLES, ResonatorParams, derive_dynamics, synth_waveform
-from .tables import SweepTable, write_text
+from .tables import SweepTable
 
 __all__ = [
     "SignAlignment",
     "CircuitNonIdealities",
     "SimTrace",
     "TraceRow",
+    "TraceRows",
     "SimulationError",
     "SampleBudgetError",
     "capture_model",
@@ -156,23 +158,70 @@ class TraceRow:
     count_enable: bool
 
 
+class TraceRows(Sequence):
+    """Read-only sequence of :class:`TraceRow` over a trace's columns, one
+    array per ``TraceRow`` field; a row is built only when it is read."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(TraceRow, *(c[i].tolist() for c in self.columns)))
+        i = operator.index(i)
+        return TraceRow(*(c[i].item() for c in self.columns))
+
+    def __iter__(self):
+        return map(TraceRow, *(c.tolist() for c in self.columns))
+
+    def __eq__(self, other):
+        # as a list of rows compares: with lists (and other traces' rows) only
+        if isinstance(other, (list, TraceRows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TraceRows({list(self)!r})"
+
+
 @dataclass
 class SimTrace:
-    """Per-cycle observability record of a simulated measurement."""
+    """Per-cycle observability record of a simulated measurement.
 
-    rows: list
+    ``rows`` may be given as a list of :class:`TraceRow`; it is kept as
+    :class:`TraceRows` columns either way.
+    """
+
+    rows: TraceRows
     captured_v0: float
     threshold: float
 
     CSV_COLUMNS = ("cycle", "peak_time", "true_peak", "captured_peak", "threshold", "count_enable")
 
-    def to_csv_string(self) -> str:
+    def __post_init__(self):
+        if not isinstance(self.rows, TraceRows):
+            self.rows = TraceRows(
+                *(np.array([getattr(r, name) for r in self.rows]) for name in self.CSV_COLUMNS)
+            )
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _table(self) -> SweepTable:
         table = SweepTable(self.CSV_COLUMNS)
-        table.extend(*([getattr(r, name) for r in self.rows] for name in self.CSV_COLUMNS))
-        return table.to_csv_string()
+        table.extend(*self.rows.columns)
+        return table
+
+    def to_csv_string(self) -> str:
+        return self._table().to_csv_string()
 
     def to_csv(self, dest) -> None:
-        write_text(dest, self.to_csv_string())
+        self._table().to_csv(dest)
 
 
 def _tracking_gain(f0: float, bandwidth: float) -> float:
@@ -339,11 +388,11 @@ def _rising_edges(v: np.ndarray, hysteresis: float) -> np.ndarray:
     state[v > h] = 1
     if state[0] == 0:
         state[0] = 1 if v[0] > 0 else -1
-    idx = np.arange(v.size)
-    idx[state == 0] = 0
-    np.maximum.accumulate(idx, out=idx)
-    held = state[idx]
-    return np.nonzero((held[1:] == 1) & (held[:-1] == -1))[0] + 1
+    # the held state at a sample is that of the last non-zero one at or
+    # before it, so the edges are the -1 -> 1 steps between non-zero samples
+    nz = np.flatnonzero(state)
+    s = state[nz]
+    return nz[1:][(s[1:] == 1) & (s[:-1] == -1)]
 
 
 def simulate_measurement(
@@ -417,14 +466,13 @@ def simulate_measurement(
     stop = int(c.m)  # cycles 1 .. stop - 1 were counted
     thr = float(c.threshold)
     cut = slice(0, stop + 1)
-    rows = list(map(
-        TraceRow,
-        range(stop + 1),
-        (first[cut] / sample_rate).tolist(),
-        true_pk[cut].tolist(),
-        captured[cut].tolist(),
-        repeat(thr, stop + 1),
-        (captured[cut] > thr).tolist(),
-    ))
+    rows = TraceRows(
+        np.arange(stop + 1),
+        first[cut] / sample_rate,
+        true_pk[cut],
+        captured[cut],
+        np.full(stop + 1, thr),
+        captured[cut] > thr,
+    )
     trace = SimTrace(rows=rows, captured_v0=float(captured[0]), threshold=thr)
     return c.result(dyn.pseudo_period), trace

@@ -351,7 +351,7 @@ def cmd_sweep(ns) -> int:
     table.to_csv(ns.out)
     if ns.svg:
         write_svg(table, ns.svg, title=f"{ns.mode} sweep", **chart)
-    print(f"rows={len(table)} out={ns.out}")
+    print(f"rows={len(table)} na={table.na_rows()} out={ns.out}")
     return EXIT_OK
 
 

@@ -118,6 +118,11 @@ class SweepTable:
         """Row tuples in scan order, None in NA cells."""
         return list(zip(*(self.cells(name) for name in self.columns)))
 
+    def na_rows(self) -> int:
+        """The number of rows with at least one NA cell."""
+        masks = [na for _, na in self._data()]
+        return int(np.logical_or.reduce(masks).sum()) if masks else 0
+
     def _csv_pieces(self):
         # the header, then blocks of rows, so only one block's text exists at a time
         data = self._data()

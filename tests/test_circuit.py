@@ -13,6 +13,7 @@ from qfm import (
     MeasurementConfig,
     ResonatorParams,
     SignAlignment,
+    SimTrace,
     SimulationError,
     capture_model,
     count_pseudo_periods,
@@ -23,6 +24,7 @@ from qfm import (
     q_from_count,
     simulate_measurement,
 )
+from qfm import circuit
 
 FIRST = Convention.FIRST_AT_OR_BELOW
 LAST = Convention.LAST_ABOVE
@@ -273,6 +275,61 @@ class TestSimulate:
         ni = CircuitNonIdealities(noise_rms=1e-4)
         result, _ = simulate_measurement(PARAMS, K6, ni, 50, seed=77)
         assert abs(result.n - 171) <= 1
+
+
+class TestTraceRows:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The number of TraceRow objects built so far, as a list's length."""
+        built = []
+
+        class Counted(circuit.TraceRow):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(circuit, "TraceRow", Counted)
+        return built
+
+    def test_unread_rows_are_never_built(self, built):
+        _, trace = simulate_measurement(PARAMS, K6, IDEAL, 50, seed=0)
+        assert len(trace.rows) == len(trace) == 173
+        lines = trace.to_csv_string().splitlines()
+        assert len(lines) == 174 and lines[-1].startswith("172,")
+        assert len(built) == 0
+
+    def test_index_slice_and_iteration(self, built):
+        _, trace = simulate_measurement(PARAMS, K6, IDEAL, 50, seed=0)
+        rows = list(trace.rows)
+        assert len(built) == 173
+        assert [r.cycle for r in rows] == list(range(173))
+        assert trace.rows[-1] == rows[-1] == trace.rows[172]
+        assert trace.rows[-1].count_enable is False and type(trace.rows[0].cycle) is int
+        assert trace.rows[1:] == rows[1:] and type(trace.rows[1:]) is list
+        assert trace.rows[::-40] == rows[::-40]
+        for bad in (173, -174):
+            with pytest.raises(IndexError):
+                trace.rows[bad]
+        with pytest.raises(TypeError):
+            trace.rows[1.0]
+
+    def test_rows_compare_as_lists_do(self, built):
+        _, trace = simulate_measurement(PARAMS, K6, IDEAL, 50, seed=0)
+        _, again = simulate_measurement(PARAMS, K6, IDEAL, 50, seed=0)
+        rows = list(trace.rows)
+        assert trace.rows == rows and rows == trace.rows
+        assert not (trace.rows != rows) and not (rows != trace.rows)
+        assert trace.rows == again.rows and trace == again
+        assert trace.rows != tuple(rows)  # a list never equals a tuple
+        # a trace built from rows keeps them as the same columns
+        rebuilt = SimTrace(rows=rows, captured_v0=trace.captured_v0, threshold=trace.threshold)
+        assert rebuilt == trace and rebuilt.to_csv_string() == trace.to_csv_string()
+
+        rows[5] = dataclasses.replace(rows[5], captured_peak=rows[5].captured_peak + 1e-12)
+        changed = SimTrace(rows=rows, captured_v0=trace.captured_v0, threshold=trace.threshold)
+        assert changed.rows != trace.rows and trace.rows != changed.rows
+        assert trace.rows != rows and rows != trace.rows
+        assert not (trace.rows == rows) and changed != trace
 
 
 class TestOracleEquivalence:

@@ -199,6 +199,20 @@ class TestSweep:
 
         ET.fromstring(out_svg.read_text())
 
+    def test_na_rows_counted(self, capsys, tmp_path):
+        # a 0.25 V opamp offset holds every maximum above the k = 6
+        # threshold (0.25 * (k - 1) > v0) but not above the k = 4 one
+        out_csv = tmp_path / "wc.csv"
+        for k, rows, na in (("4", 3, 0), ("4,6", 6, 3)):
+            code, out, _ = run(
+                capsys, "sweep", "worstcase", "--k", k, "--q", "100:102:1",
+                "--opamp", "0.25", "--out", str(out_csv),
+            )
+            assert code == 0
+            assert out == f"rows={rows} na={na} out={out_csv}\n"
+            lines = out_csv.read_text().splitlines()[1:]
+            assert sum(line.endswith(",NA,NA,NA") for line in lines) == na
+
     def test_unwritable_out_exits_4(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sweep", "theoretical",

@@ -268,10 +268,22 @@ def test_synth_bytes_match_reference(noise):
 
 def test_edges_match_reference():
     rng = np.random.default_rng(4)
+    edge_rng = np.random.default_rng(5)
     t = np.arange(20_000) / 50.0
     for h in (0.0, 0.01, 0.2):
+        cases = []
         for v in (np.sin(2 * np.pi * t) + rng.normal(0, 0.05, t.size), rng.normal(0, 0.1, t.size)):
             v[0] = 0.0  # the initial state comes from the sign of v[0]
+            cases.append(v)
+        cases += [np.array(s) for s in ([h / 2], [-h, 3 * h + 1], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0])]
+        cases.append(np.zeros(1000))
+        cases.append(edge_rng.choice([-h, 0.0, h, -2 * h - 1, 2 * h + 1], 500))  # samples exactly at +/-h
+        # a long dead-band run opens the record, v[0] inside the band (non-zero when h > 0)
+        cases += [
+            np.concatenate(([v0], edge_rng.uniform(-h, h, 3000), np.sin(2 * np.pi * t[:500])))
+            for v0 in (h / 2, -h / 2)
+        ]
+        for v in cases:
             assert np.array_equal(_rising_edges(v, h), reference_edges(v, h))
 
 
