@@ -26,8 +26,12 @@ All magnitudes are stored unsigned; ``worst_case_sign`` selects whether
 the threshold-side errors (divider and comparator) enter with +1, -1, or
 independently drawn signs.  Two evaluation paths are provided and are
 required to agree to within one count: ``simulate_measurement`` samples
-the ring-down and evaluates every recovered clock cycle in one array
-pass, ``predicted_measurement`` evaluates the same model in closed form.
+the ring-down, ``predicted_measurement`` evaluates the same model in
+closed form.  The sampled run synthesizes, clocks and captures the
+ring-down in fixed blocks of samples, carrying the comparator's held
+state and the open cycle from block to block, and ends with the block
+in which the counter stops; its working memory is one block's buffers
+plus a few numbers per clock cycle, whatever the record's length.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .counting import (
     held_crossing,
     stop_threshold,
 )
-from .resonator import MAX_SAMPLES, ResonatorParams, derive_dynamics, synth_waveform
+from .resonator import MAX_SAMPLES, ResonatorParams, _synth_blocks, derive_dynamics
 from .tables import SweepTable
 
 __all__ = [
@@ -395,6 +399,31 @@ def _rising_edges(v: np.ndarray, hysteresis: float) -> np.ndarray:
     return nz[1:][(s[1:] == 1) & (s[:-1] == -1)]
 
 
+def _block_cycles(block, offset, edges, cycle):
+    """The clock cycles closed within one block of samples, as
+    ``(start, end, maximum, first index at it)`` arrays in record sample
+    indices, or None, and the cycle left open after the block.
+
+    ``edges`` are the block's rising edges (block indices) and ``cycle``
+    the cycle open before it as ``(start, maximum, first index)``.
+    """
+    start, peak, at = cycle
+    # the open cycle's maximum stands before the block as an earlier
+    # sample, so an equal maximum in the block does not replace it
+    x = np.concatenate(([peak], block))
+    bounds = np.concatenate(([0], edges + 1, [x.size]))
+    starts = bounds[:-1]
+    seg_max = np.maximum.reduceat(x, starts)
+    hits = np.flatnonzero(x == np.repeat(seg_max, bounds[1:] - starts))
+    first = hits[np.searchsorted(hits, starts)]  # first sample at its cycle's maximum
+    first = np.where(first == 0, at, first - 1 + offset)
+    if edges.size == 0:
+        return None, (start, seg_max[0], first[0])
+    ends = edges + offset
+    closed = (np.concatenate(([start], ends[:-1])), ends, seg_max[:-1], first[:-1])
+    return closed, (ends[-1], seg_max[-1], first[-1])
+
+
 def simulate_measurement(
     params: ResonatorParams,
     config: MeasurementConfig,
@@ -409,10 +438,12 @@ def simulate_measurement(
     clock cycle's sample maximum goes through the capture model and the
     detector is then reset, cycle 0's captured value defines V0, and the
     counter runs while captured maxima exceed the effective threshold.
-    Every recovered cycle is evaluated at once; the trace holds cycles 0
-    up to the one that stopped the counter.  Deterministic for a given
-    seed (which drives the input noise and, for INDEPENDENT alignment,
-    the error signs).
+    The ring-down is synthesized and clocked in blocks of samples, the
+    comparator state and the open cycle carried from one block to the
+    next, and the run ends with the block in which the counter stops;
+    the trace holds cycles 0 up to the one that stopped the counter.
+    Deterministic for a given seed (which drives the input noise and,
+    for INDEPENDENT alignment, the error signs).
     """
     if samples_per_period < 20:
         raise ValueError(
@@ -422,45 +453,58 @@ def simulate_measurement(
     rng = np.random.default_rng(seed)
     s_div, s_cmp = _resolve_signs(ni, rng)
     noise_seed = int(rng.integers(0, 2**63 - 1))
+    divider, comparator = s_div * ni.divider_error, s_cmp * ni.comparator_offset
 
-    # Closed-form crossing index sizes the sample buffer; the pathological
+    # Closed-form crossing index caps the run; the pathological
     # never-stops configurations surface here as SimulationError.
     _, m_star = _predict_aligned(params, config, ni, s_div, s_cmp)
     sample_rate = samples_per_period * params.f0
-    duration = (m_star + 10) * dyn.pseudo_period
-    n_samples = round(duration * sample_rate)
+    n_samples = round((m_star + 10) * dyn.pseudo_period * sample_rate)
     if n_samples > MAX_SAMPLES:
         raise SampleBudgetError(
             f"the run needs {n_samples} samples ({n_samples * 8e-6:.0f} MB per "
             f"float64 array), over the simulator's budget of {MAX_SAMPLES} samples"
         )
-    wave = synth_waveform(params, sample_rate, duration, noise_rms=ni.noise_rms, seed=noise_seed)
-    v = wave.samples
 
     hysteresis = 4.0 * ni.noise_rms
-    edges = _rising_edges(v, hysteresis)
-    if edges.size == 0:
+    held = None  # the last sample that set the comparator's state
+    cycle = (0, -math.inf, 0)  # the open cycle: start, maximum, first index at it
+    peaks, firsts, captured = [], [], []  # per block, of the cycles it closed
+    offset = 0
+    for block in _synth_blocks(params, sample_rate, n_samples, ni.noise_rms, noise_seed):
+        if held is None:
+            edges = _rising_edges(block, hysteresis)
+        else:  # the held sample restates the comparator's state before the block
+            edges = _rising_edges(np.concatenate(([held], block)), hysteresis) - 1
+        cycles, cycle = _block_cycles(block, offset, edges, cycle)
+        offset += block.size
+        last = offset == n_samples
+        if not last:
+            live = np.flatnonzero(np.abs(block) > hysteresis)
+            if live.size or held is None:
+                held = block[live[-1] if live.size else 0]
+        if cycles is None:
+            continue
+        start, end, peak, at = cycles
+        peaks.append(peak)
+        firsts.append(at)
+        captured.append(
+            capture_model(np.where(peak < 0.0, 0.0, peak), params.f0, ni, (end - start) / sample_rate)
+        )
+        if last:
+            break
+        # only V0 and this block's maxima can hold a new stop
+        probe = captured[0] if len(captured) == 1 else np.concatenate((captured[0][:1], captured[-1]))
+        if held_crossing(probe, config, divider, comparator).status != Failure.UNREACHABLE.value:
+            break
+    if not captured:
         raise SimulationError(
             f"the clock comparator never fired: no rising edge through its "
             f"+/-{hysteresis:.3g} V hysteresis (4 x noise_rms) in a ring-down "
             f"from v0={params.v0:.3g} V"
         )
-    # cycle j spans samples starts[j] .. starts[j + 1] - 1; the samples
-    # after the last edge belong to no complete cycle
-    starts = np.concatenate(([0], edges[:-1]))
-    end = int(edges[-1])
-    lengths = np.diff(edges, prepend=0)
-    seg_max = np.maximum.reduceat(v[:end], starts)
-    hits = np.flatnonzero(v[:end] == np.repeat(seg_max, lengths))
-    first = hits[np.searchsorted(hits, starts)]  # first sample at its cycle's maximum
-    true_pk = v[first]
-    captured = capture_model(
-        np.where(true_pk < 0.0, 0.0, true_pk), params.f0, ni, lengths / sample_rate
-    )
-
-    c = held_crossing(
-        captured, config, s_div * ni.divider_error, s_cmp * ni.comparator_offset, params.q
-    )
+    captured = np.concatenate(captured)
+    c = held_crossing(captured, config, divider, comparator, params.q)
     if c.status != Failure.NONE.value:
         raise SimulationError(_SAMPLED_MESSAGES[Failure(int(c.status))])
     stop = int(c.m)  # cycles 1 .. stop - 1 were counted
@@ -468,8 +512,8 @@ def simulate_measurement(
     cut = slice(0, stop + 1)
     rows = TraceRows(
         np.arange(stop + 1),
-        first[cut] / sample_rate,
-        true_pk[cut],
+        np.concatenate(firsts)[cut] / sample_rate,
+        np.concatenate(peaks)[cut],
         captured[cut],
         np.full(stop + 1, thr),
         captured[cut] > thr,

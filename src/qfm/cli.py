@@ -15,6 +15,7 @@ flags override file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -436,9 +437,13 @@ _EXIT_CODES = {
 }
 
 
+# one parser per process: building it costs milliseconds, parsing does not change it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        ns, extra = build_parser().parse_known_args(argv)
+        ns, extra = _parser().parse_known_args(argv)
         if extra:
             raise ValueError(f"qfm {ns.command}: unrecognized arguments: {' '.join(extra)}")
         return _DISPATCH[ns.command](ns)

@@ -173,9 +173,29 @@ def _check_peak_index(m):
 # modeled circuit non-ideality.
 MIN_SAMPLES_PER_PERIOD = 20
 
-# Largest record synthesized: 2**24 samples is 134 MB per float64 array,
-# a few of which are live at once.
+# Largest record synthesized: 2**24 samples is 134 MB per float64 array.
 MAX_SAMPLES = 2**24
+
+# Samples per synthesized block: its float64 work buffers are 128 KiB
+# each whatever the record's length.  At 2**15 glibc gives the buffers
+# back and faults them in again about three times as often; below
+# 2**14 the per-block Python cost shows.
+_SIM_BLOCK = 2**14
+
+
+def _synth_blocks(params: ResonatorParams, sample_rate: float, n: int, noise_rms: float, seed: int):
+    """The first ``n`` samples of the noisy ring-down as consecutive
+    blocks of ``_SIM_BLOCK`` samples (the last one shorter).  Block
+    times are ``(offset + arange) / sample_rate`` and the noise comes
+    from one generator, so the blocks joined are bit-identical to one
+    evaluation of the whole record."""
+    rng = np.random.default_rng(seed) if noise_rms > 0 else None
+    for offset in range(0, n, _SIM_BLOCK):
+        size = min(_SIM_BLOCK, n - offset)
+        v = eval_response(params, (offset + np.arange(size)) / sample_rate)
+        if rng is not None:
+            v += rng.normal(0.0, noise_rms, size)
+        yield v
 
 
 def synth_waveform(
@@ -190,7 +210,8 @@ def synth_waveform(
     Optionally adds white Gaussian noise of the given RMS, seeded so two
     calls with equal arguments produce bit-identical traces.  Rejects
     sample rates below 20 samples per resonant period and records over
-    MAX_SAMPLES samples.
+    MAX_SAMPLES samples.  The record is filled block by block, so the
+    call holds little beyond its output.
     """
     if sample_rate < MIN_SAMPLES_PER_PERIOD * params.f0:
         raise ValueError(
@@ -208,9 +229,9 @@ def synth_waveform(
     n = int(round(duration * sample_rate))
     if n < 2:
         raise ValueError("duration too short: fewer than 2 samples requested")
-    t = np.arange(n) / sample_rate
-    v = eval_response(params, t)
-    if noise_rms > 0:
-        rng = np.random.default_rng(seed)
-        v += rng.normal(0.0, noise_rms, n)
+    v = np.empty(n)
+    offset = 0
+    for block in _synth_blocks(params, sample_rate, n, noise_rms, seed):
+        v[offset:offset + block.size] = block
+        offset += block.size
     return Waveform(sample_rate=sample_rate, samples=v)

@@ -6,14 +6,15 @@ endings, UTF-8).  Floats are written in their shortest exact form, so a
 synthesize/write/load round trip is bit-identical.  On input, CRLF or CR
 line endings and a UTF-8 byte-order mark are accepted.
 
-The reader streams: past the header, ``np.loadtxt`` parses the rows in
-chunks, without building a list of lines or one float object per cell.
-It is trusted only when the rest of the file is ASCII without the line
-breaks ``str.splitlines`` cuts at besides CR and LF (VT, FF, FS, GS, RS),
-and when it returns ``(n, 2)`` finite values.  Anything else goes to the
-line parser, which reads the whole record again row by row and is the
-grammar of record: it takes what ``float()`` takes (``1_000``, non-ASCII
-digits, whitespace-only lines) and words every error with its line
+The reader streams: past the header, ``np.loadtxt`` parses the rows of
+about 64 KiB of whole lines at a time, without one float object per
+cell.  It is trusted only when the rest of the file is ASCII without the
+line breaks ``str.splitlines`` cuts at besides CR and LF (VT, FF, FS,
+GS, RS), and when it returns ``(n, 2)`` finite values; a piece numpy
+refuses is tried once more with its whitespace-only lines emptied.
+Anything else goes to the line parser, which reads the whole record
+again row by row and is the grammar of record: it takes what ``float()``
+takes (``1_000``, non-ASCII digits) and words every error with its line
 number.  Both stop at ``resonator.MAX_SAMPLES`` data rows: a longer
 record is refused before more rows are held.
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -182,6 +184,58 @@ _OTHER_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # rows per np.loadtxt call, which allocates max_rows rows up front
 _BLOCK_ROWS = 1 << 16
 
+# bytes per read of the record past its header
+_READ_BYTES = 1 << 16
+
+# a line of the blanks left once VT, FF, FS, GS and RS are ruled out: the
+# line parser skips it (str.strip empties it), np.loadtxt refuses it
+_BLANK_LINE = re.compile(rb"([\r\n])[ \t\x1f]+(?![^\r\n])")
+
+
+def _pieces(raw):
+    """The rest of ``raw`` in whole lines, about _READ_BYTES at a time.
+    Each piece starts at a line break (the first one stands for the
+    header's), so a blank line in it is a break followed by blanks."""
+    rest = b"\n"
+    while True:
+        parts = [rest]
+        while more := raw.read(_READ_BYTES):
+            parts.append(more)
+            if b"\n" in more or b"\r" in more:
+                break
+        data = b"".join(parts)
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) if more else len(data)
+        yield data[:cut]
+        if not more:
+            return
+        rest = data[cut:]
+
+
+def _parse_piece(data: bytes, rows: int):
+    """``np.loadtxt``'s blocks of one piece, given the ``rows`` read
+    before it, up to the first row past ``MAX_SAMPLES``; None when numpy
+    cannot take the piece.  numpy refuses a whitespace-only line, which
+    the line parser skips, so a refused piece is tried once more with
+    such lines emptied."""
+    try:
+        lines = data.decode("ascii").splitlines()  # CRLF, CR and LF alike
+        rest, blocks = iter(lines), []
+        while rows <= MAX_SAMPLES:
+            want = min(_BLOCK_ROWS, MAX_SAMPLES + 1 - rows, len(lines))
+            block = np.loadtxt(rest, delimiter=",", comments=None, dtype=float, ndmin=2, max_rows=want)
+            if block.size == 0:
+                break
+            if block.shape[1] != 2:
+                raise ValueError("not two columns")
+            blocks.append(block)
+            rows += len(block)
+            if len(block) < want:
+                break
+        return blocks
+    except ValueError:  # numpy's parse errors, a non-ASCII byte, another shape
+        emptied = _BLANK_LINE.sub(rb"\1", data)
+        return None if emptied == data else _parse_piece(emptied, rows)
+
 
 def _read_fast(raw):
     """``(t, v)`` parsed by ``np.loadtxt``, or None when the line parser
@@ -191,34 +245,21 @@ def _read_fast(raw):
     if len(header) != 1 or header[0].lstrip("\ufeff").strip() != CSV_HEADER:
         return None
     start = raw.tell()
-    for block in iter(partial(raw.read, 1 << 16), b""):
+    for block in iter(partial(raw.read, _READ_BYTES), b""):
         if any(c in block for c in _OTHER_BREAKS):
             return None
     raw.seek(start)
-    stream = io.TextIOWrapper(raw, encoding="ascii")  # CRLF and CR read as LF
     blocks, rows = [], 0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy warns when a call finds no row
-            while rows <= MAX_SAMPLES:
-                want = min(_BLOCK_ROWS, MAX_SAMPLES + 1 - rows)
-                block = np.loadtxt(
-                    stream, delimiter=",", comments=None, dtype=float, ndmin=2, max_rows=want
-                )
-                if block.size == 0:
-                    break
-                if block.shape[1] != 2:
-                    return None
-                blocks.append(block)
-                rows += len(block)
-                if len(block) < want:
-                    break
-    except ValueError:  # numpy's parse errors, and a non-ASCII byte
-        return None
-    finally:
-        stream.detach()  # leaves raw open for the line parser
-    if rows > MAX_SAMPLES:
-        raise _over_cap()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns when a call finds no row
+        for data in _pieces(raw):
+            piece = _parse_piece(data, rows)
+            if piece is None:
+                return None
+            blocks += piece
+            rows += sum(map(len, piece))
+            if rows > MAX_SAMPLES:
+                raise _over_cap()
     if not blocks:
         return None
     t = np.concatenate([block[:, 0] for block in blocks])

@@ -3,6 +3,7 @@ and agreement between the closed-form and time-domain measurement paths."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,21 @@ class TestSimulate:
         assert result.t_measure == pytest.approx(171 * 2.0000027778e-5, rel=1e-6)
         assert trace.captured_v0 == 1.0
         assert len(trace.rows) == 173  # cycles 0..171 counted, 172 stops
+
+    def test_memory_does_not_grow_with_the_record(self):
+        # the timedomain benchmark's corner: 865,471 samples (6.9 MB per
+        # float64 array), 14,652 cycles; a whole-record run peaked at 21.5 MB
+        params = ResonatorParams(f0=1e6, q=20_000.0)
+        tracemalloc.start()
+        try:
+            _, trace = simulate_measurement(
+                params, MeasurementConfig(10.0, FIRST), CircuitNonIdealities(noise_rms=1e-4), 59, seed=0
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 14_652
+        assert peak < 5e6
 
     def test_matches_ideal_counting_on_grid(self):
         for q in (50.0, 100.0, 300.0, 1000.0):

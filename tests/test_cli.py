@@ -505,6 +505,23 @@ class TestSchema:
         assert (code, err) == (0, "")
         assert "--spp" in out
 
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys, tmp_path):
+        calls = [
+            ("simulate", "--bogus", "1"),
+            ("simulate", "--help"),
+            ("simulate", "--q", "120", "--k", "4"),
+            ("dump-config", "--seed", "7"),
+            ("synth", "--duration", "1e-4", "--out", str(tmp_path / "w.csv")),
+            (),
+        ]
+        cli._parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        for argv, outcome in zip(calls, reused):
+            cli._parser.cache_clear()
+            assert run(capsys, *argv) == outcome
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0, 2]
+
     def test_oversized_synth_record_exits_2(self, capsys, tmp_path):
         out_csv = tmp_path / "never.csv"
         code, out, err = run(capsys, "synth", "--duration", "1e300", "--rate", "1e300", "--out", str(out_csv))

@@ -2,6 +2,7 @@
 oracles (dense sampling, bisected zero crossings, local maximization)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,18 @@ class TestSynth:
             synth_waveform(params, 5e6, 0.0)
         with pytest.raises(ValueError):
             synth_waveform(params, 5e6, 1e-3, noise_rms=-1.0)
+
+    def test_memory_is_about_the_output(self):
+        # 2**20 samples: the blocks' work buffers add little to the 8.4 MB record
+        params = ResonatorParams(f0=1e3, q=1e4)
+        tracemalloc.start()
+        try:
+            w = synth_waveform(params, 50e3, 2**20 / 50e3, noise_rms=1e-3, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w) == 2**20
+        assert peak < 1.25 * w.samples.nbytes
 
     def test_rejects_oversized_record(self):
         params = ResonatorParams(f0=50e3, q=300.0)

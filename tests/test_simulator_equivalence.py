@@ -6,6 +6,7 @@ temporary-per-step synthesis it ran on.  Every result, trace row, trace
 CSV and error message must come out identical.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -21,13 +22,12 @@ from qfm import (
     SimTrace,
     SimulationError,
     TraceRow,
-    Waveform,
     capture_model,
     derive_dynamics,
     simulate_measurement,
     synth_waveform,
 )
-from qfm import circuit
+from qfm import circuit, resonator
 from qfm.circuit import _predict_aligned, _resolve_signs, _rising_edges
 from qfm.counting import stop_threshold
 
@@ -247,8 +247,8 @@ def test_negative_cycle_maximum_is_floored_like_the_reference(monkeypatch):
         return v
 
     monkeypatch.setattr(
-        circuit, "synth_waveform",
-        lambda params, rate, duration, noise_rms, seed: Waveform(rate, dipped(params, rate, duration, noise_rms, seed)),
+        circuit, "_synth_blocks",
+        lambda params, rate, n, noise_rms, seed: iter([dipped(params, rate, n / rate, noise_rms, seed)]),
     )
     ni = CircuitNonIdealities(opamp_offset=0.02, leak_droop=1500.0)
     args = (ResonatorParams(f0=50e3, q=300.0), MeasurementConfig(6.0, LAST), ni, 50, 0)
@@ -301,3 +301,144 @@ def test_capture_model_broadcast_matches_scalar():
         assert type(scalar) is float and scalar == out[5]
     with pytest.raises(ValueError):
         capture_model(np.array([0.1, -0.1]), 50e3, ni, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the blocked run at tiny block sizes: every block boundary the draws cross
+# must leave the comparator state, the open cycle and the stop as they were
+
+TINY_BLOCKS = (7, 64, 1000)
+
+
+@functools.cache
+def reference_outcome(args):
+    try:
+        result, trace = reference_simulate(*args)
+    except SimulationError as exc:
+        return str(exc)
+    return result, trace.captured_v0, trace.threshold, trace.to_csv_string()
+
+
+def assert_same_outcome(args):
+    # the CSV holds every trace row, each float in its shortest exact form
+    try:
+        result, trace = simulate_measurement(*args)
+    except SimulationError as exc:
+        assert str(exc) == reference_outcome(args)
+        return
+    assert (result, trace.captured_v0, trace.threshold, trace.to_csv_string()) == reference_outcome(args)
+
+
+def record_length(params, config, ni, samples_per_period, seed):
+    """Samples in the record the run is capped at."""
+    rng = np.random.default_rng(seed)
+    _, m_star = _predict_aligned(params, config, ni, *_resolve_signs(ni, rng))
+    return round((m_star + 10) * derive_dynamics(params).pseudo_period * samples_per_period * params.f0)
+
+
+@pytest.mark.parametrize("block", TINY_BLOCKS)
+def test_draws_match_reference_at_tiny_blocks(monkeypatch, block):
+    # the draws whose record spans at most 1,000 blocks and 300,000 samples
+    monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
+    runs = [draw(i) for i in range(60)]
+    runs = [args for args in runs if record_length(*args) <= min(1000 * block, 300_000)]
+    assert len(runs) >= 15
+    for args in runs:
+        assert_same_outcome(args)
+
+
+@pytest.mark.parametrize("block", TINY_BLOCKS)
+@pytest.mark.parametrize("name", ["v0_zero", "no_edge", "no_stop", "no_decay"])
+def test_failures_match_reference_at_tiny_blocks(monkeypatch, name, block):
+    # NO_SIGNAL, "never fired", UNREACHABLE at the cap and NO_DECAY
+    monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
+    assert isinstance(reference_outcome(PATHOLOGICAL[name]), str)
+    assert_same_outcome(PATHOLOGICAL[name])
+
+
+NOISELESS = (ResonatorParams(f0=50e3, q=300.0), MeasurementConfig(6.0, LAST), CircuitNonIdealities(), 50, 0)
+
+
+def reference_edge_indices(args):
+    params, _, ni, spp, _ = args
+    n = record_length(*args)
+    return reference_edges(reference_synth(params, spp * params.f0, n / (spp * params.f0), 0.0, 0), 0.0)
+
+
+def test_edge_on_the_first_sample_of_a_block(monkeypatch):
+    edges = reference_edge_indices(NOISELESS)
+    for block in (int(edges[0]), int(edges[3]), int(edges[10])):
+        monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
+        assert np.any(edges % block == 0)
+        assert_same_outcome(NOISELESS)
+
+
+def serve(monkeypatch, record, block):
+    """The run and the reference read ``record``, the run in blocks of ``block`` samples."""
+    monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
+    monkeypatch.setattr(
+        circuit, "_synth_blocks",
+        lambda params, rate, n, noise_rms, seed: (record[i:i + block] for i in range(0, n, block)),
+    )
+    return lambda *args: record.copy()
+
+
+def synthesized(args):
+    """The record a run of ``args`` synthesizes."""
+    params, _, ni, spp, seed = args
+    rng = np.random.default_rng(seed)
+    _resolve_signs(ni, rng)
+    rate = spp * params.f0
+    return reference_synth(params, rate, record_length(*args) / rate, ni.noise_rms, int(rng.integers(0, 2**63 - 1)))
+
+
+def test_tied_maximum_across_a_block_boundary_keeps_the_earlier_sample(monkeypatch):
+    # cycle 5's maximum is raised on the two samples either side of a
+    # block boundary; the trace must report the first of them
+    params, _, _, spp, _ = NOISELESS
+    rate = spp * params.f0
+    boundary = round(5 * derive_dynamics(params).pseudo_period * rate)
+    record = synthesized(NOISELESS)
+    record[boundary - 1:boundary + 1] = 1.5
+    synth = serve(monkeypatch, record, boundary)
+    expected, expected_trace = reference_simulate(*NOISELESS, synth=synth)
+    result, trace = simulate_measurement(*NOISELESS)
+    assert trace.rows[5].true_peak == 1.5 and trace.rows[5].peak_time == (boundary - 1) / rate
+    assert (result, trace.rows, trace.to_csv_string()) == (expected, expected_trace.rows, expected_trace.to_csv_string())
+
+
+def test_dead_band_sample_ending_a_block_keeps_the_held_state(monkeypatch):
+    # a block ends just before cycle 3's rising edge on a sample inside the
+    # dead band but above 0 V: the comparator still holds "below", so the
+    # next block's first sample is an edge
+    args = (ResonatorParams(f0=50e3, q=300.0), MeasurementConfig(6.0, LAST), CircuitNonIdealities(noise_rms=1e-3), 50, 0)
+    h = 4.0 * args[2].noise_rms
+    record = synthesized(args)
+    edge = int(reference_edges(record, h)[3])
+    record[edge - 1] = h / 2
+    assert edge in reference_edges(record, h)
+    synth = serve(monkeypatch, record, edge)
+    expected, expected_trace = reference_simulate(*args, synth=synth)
+    result, trace = simulate_measurement(*args)
+    assert (result, trace.to_csv_string()) == (expected, expected_trace.to_csv_string())
+
+
+def test_stop_in_the_first_block_ends_the_run(monkeypatch):
+    # the record is cut into two blocks and the counter stops in the first
+    args = NOISELESS
+    _, trace = reference_simulate(*args)
+    stop_sample = round(trace.rows[-1].peak_time * args[3] * args[0].f0)
+    n = record_length(*args)
+    block = (stop_sample + n) // 2
+    assert reference_edge_indices(args)[len(trace)] < block < n
+    served = []
+
+    def counted(*a):
+        for b in resonator._synth_blocks(*a):
+            served.append(b.size)
+            yield b
+
+    monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
+    monkeypatch.setattr(circuit, "_synth_blocks", counted)
+    assert_same_outcome(args)
+    assert served == [block]

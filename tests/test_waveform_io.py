@@ -11,6 +11,7 @@ import io
 import math
 import os
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -317,7 +318,6 @@ class TestStreamedReader:
         [
             "t,v\n0,1\n1,2\x0c3,4\n2,5\n",  # a form feed splits a line
             "t,v\n0,1\n1_000,2\n",
-            "t,v\n0,1\n  \n1,2\n2,3\n",
             "t,v\n0,\u0661\n1,2\n2,3\n",
             "t,v\n0,1\n1,nan\n2,3\n",
         ],
@@ -325,6 +325,69 @@ class TestStreamedReader:
     def test_line_parser_decides_unusual_records(self, text):
         assert waveform_io._read_fast(io.BytesIO(text.encode())) is None
         assert_same_load(lambda: io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,v\n0,1\n  \n1,2\n2,3\n",
+            "t,v\n \t\x1f\n0,1\n1,2\n\n\t\n2,3\n   ",
+            "\ufefft,v\r\n0,1\r\n \r\n1,2\r \r2,3\r\n\t",
+            "t,v\n5,1\n 6 , 2\n\t7,3\x1f\n",
+        ],
+    )
+    def test_whitespace_only_lines_stay_on_the_fast_path(self, text):
+        fast = waveform_io._read_fast(io.BytesIO(text.encode()))
+        slow = waveform_io._read_lines(io.BytesIO(text.encode()), "strict")
+        assert fast is not None
+        assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
+        assert_same_load(lambda: io.StringIO(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.one_of(st.integers(0, 20).map(lambda i: f"{i},{i / 7!r}"), st.text(" \t\x1f", max_size=3)),
+            max_size=12,
+        ),
+        ending=ENDINGS,
+        read_bytes=st.sampled_from([1, 2, 3, 7, 1 << 16]),
+    )
+    def test_blank_lines_emptied_at_any_read_size(self, rows, ending, read_bytes):
+        # times must rise, so each data row gets its own from its position
+        rows = [f"{i}," + r.split(",")[1] if "," in r else r for i, r in enumerate(rows)]
+        text = "t,v\n" + ending.join(rows)  # a header ending in CR alone goes to the line parser
+        with mock.patch.object(waveform_io, "_READ_BYTES", read_bytes):
+            fast = outcome(waveform_io._read_fast, io.BytesIO(text.encode()))
+        slow = outcome(waveform_io._read_lines, io.BytesIO(text.encode()), "strict")
+        assert slow[0] == "ok"
+        if any("," in r for r in rows):  # numpy finds no row in an all-blank record
+            assert fast[0] == "ok" and fast[1] is not None
+            assert all(np.array_equal(a, b) for a, b in zip(fast[1], slow[1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_records(), read_bytes=st.sampled_from([1, 2, 3, 7]))
+    def test_any_read_size_agrees_with_line_parser(self, text, read_bytes):
+        raw = io.BytesIO(text.encode())
+        with mock.patch.object(waveform_io, "_READ_BYTES", read_bytes):
+            fast = outcome(waveform_io._read_fast, raw)
+        slow = outcome(waveform_io._read_lines, raw, "strict")
+        if fast[1] is not None:
+            assert fast[0] == slow[0] == "ok"
+            assert all(np.array_equal(a, b) for a, b in zip(fast[1], slow[1]))
+
+    def test_a_blank_line_costs_little(self, tmp_path):
+        # the same 250,000-sample record with and without a trailing blank line
+        w = synth_waveform(ResonatorParams(f0=50e3, q=2000.0), 2.5e6, 0.1, noise_rms=1e-3, seed=1)
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        waveform_to_csv(w, plain)
+        blank.write_bytes(plain.read_bytes() + b"   \n")
+        best = {plain: math.inf, blank: math.inf}
+        for _ in range(3):
+            for path in best:
+                start = time.perf_counter()
+                loaded = load_waveform(path)
+                best[path] = min(best[path], time.perf_counter() - start)
+                assert np.array_equal(loaded.samples, w.samples)
+        assert best[blank] <= 1.2 * best[plain]
 
     def test_crlf_and_bom_path(self, tmp_path):
         path = tmp_path / "wave.csv"
