@@ -41,7 +41,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,11 +49,9 @@ from .counting import (
     Failure,
     MeasurementConfig,
     MeasurementResult,
-    check_k,
     check_range,
     first_crossing,
     held_crossing,
-    stop_threshold,
 )
 from .resonator import MAX_SAMPLES, ResonatorParams, _synth_blocks, derive_dynamics
 from .tables import SweepTable
@@ -68,7 +65,6 @@ __all__ = [
     "SimulationError",
     "SampleBudgetError",
     "capture_model",
-    "effective_threshold",
     "simulate_measurement",
     "predicted_measurement",
     "pessimistic_nonidealities",
@@ -195,23 +191,13 @@ class TraceRows(Sequence):
 
 @dataclass
 class SimTrace:
-    """Per-cycle observability record of a simulated measurement.
-
-    ``rows`` may be given as a list of :class:`TraceRow`; it is kept as
-    :class:`TraceRows` columns either way.
-    """
+    """Per-cycle observability record of a simulated measurement."""
 
     rows: TraceRows
     captured_v0: float
     threshold: float
 
     CSV_COLUMNS = ("cycle", "peak_time", "true_peak", "captured_peak", "threshold", "count_enable")
-
-    def __post_init__(self):
-        if not isinstance(self.rows, TraceRows):
-            self.rows = TraceRows(
-                *(np.array([getattr(r, name) for r in self.rows]) for name in self.CSV_COLUMNS)
-            )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -261,37 +247,11 @@ def capture_model(true_peak, f0: float, ni: CircuitNonIdealities, hold_interval)
     return float(out) if out.ndim == 0 else out
 
 
-def effective_threshold(
-    v0_captured: float,
-    k: float,
-    ni: CircuitNonIdealities,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Stop threshold the comparator actually applies.
-
-    The divider error and comparator offset enter with the sign selected
-    by ``ni.worst_case_sign``; INDEPENDENT draws the two signs separately
-    from ``rng``.
-    """
-    if not v0_captured > 0:
-        raise ValueError(
-            f"v0_captured must be > 0 V (got {v0_captured}); "
-            "the divider has no reference to scale"
-        )
-    check_k(k)
-    s_div, s_cmp = _resolve_signs(ni, rng)
-    return stop_threshold(
-        v0_captured, k, s_div * ni.divider_error, s_cmp * ni.comparator_offset
-    )
-
-
 def _resolve_signs(ni: CircuitNonIdealities, rng=None):
     if ni.worst_case_sign is SignAlignment.PLUS:
         return 1.0, 1.0
     if ni.worst_case_sign is SignAlignment.MINUS:
         return -1.0, -1.0
-    if rng is None:
-        raise ValueError("INDEPENDENT sign alignment needs a random generator")
     signs = rng.integers(0, 2, size=2) * 2 - 1
     return float(signs[0]), float(signs[1])
 
@@ -382,9 +342,10 @@ _SAMPLED_MESSAGES = {
 }
 
 
-def _rising_edges(v: np.ndarray, hysteresis: float) -> np.ndarray:
-    """Clock-comparator rising edges: sample indices where the input
-    leaves the +/-hysteresis dead band upward after having been below it.
+def _rising_edges(v: np.ndarray, hysteresis: float):
+    """Clock-comparator rising edges (sample indices where the input
+    leaves the +/-hysteresis dead band upward after having been below it)
+    and the index of the last sample that set the comparator's state.
     """
     h = hysteresis
     state = np.zeros(v.size, dtype=np.int8)
@@ -396,7 +357,7 @@ def _rising_edges(v: np.ndarray, hysteresis: float) -> np.ndarray:
     # before it, so the edges are the -1 -> 1 steps between non-zero samples
     nz = np.flatnonzero(state)
     s = state[nz]
-    return nz[1:][(s[1:] == 1) & (s[:-1] == -1)]
+    return nz[1:][(s[1:] == 1) & (s[:-1] == -1)], nz[-1]
 
 
 def _block_cycles(block, offset, edges, cycle):
@@ -472,17 +433,13 @@ def simulate_measurement(
     peaks, firsts, captured = [], [], []  # per block, of the cycles it closed
     offset = 0
     for block in _synth_blocks(params, sample_rate, n_samples, ni.noise_rms, noise_seed):
-        if held is None:
-            edges = _rising_edges(block, hysteresis)
-        else:  # the held sample restates the comparator's state before the block
-            edges = _rising_edges(np.concatenate(([held], block)), hysteresis) - 1
-        cycles, cycle = _block_cycles(block, offset, edges, cycle)
+        # the held sample restates the comparator's state before the block
+        v = block if held is None else np.concatenate(([held], block))
+        edges, setter = _rising_edges(v, hysteresis)
+        held = v[setter]
+        cycles, cycle = _block_cycles(block, offset, edges - (v.size - block.size), cycle)
         offset += block.size
         last = offset == n_samples
-        if not last:
-            live = np.flatnonzero(np.abs(block) > hysteresis)
-            if live.size or held is None:
-                held = block[live[-1] if live.size else 0]
         if cycles is None:
             continue
         start, end, peak, at = cycles

@@ -6,17 +6,17 @@ endings, UTF-8).  Floats are written in their shortest exact form, so a
 synthesize/write/load round trip is bit-identical.  On input, CRLF or CR
 line endings and a UTF-8 byte-order mark are accepted.
 
-The reader streams: past the header, ``np.loadtxt`` parses the rows of
-about 64 KiB of whole lines at a time, without one float object per
-cell.  It is trusted only when the rest of the file is ASCII without the
-line breaks ``str.splitlines`` cuts at besides CR and LF (VT, FF, FS,
-GS, RS), and when it returns ``(n, 2)`` finite values; a piece numpy
-refuses is tried once more with its whitespace-only lines emptied.
-Anything else goes to the line parser, which reads the whole record
-again row by row and is the grammar of record: it takes what ``float()``
-takes (``1_000``, non-ASCII digits) and words every error with its line
-number.  Both stop at ``resonator.MAX_SAMPLES`` data rows: a longer
-record is refused before more rows are held.
+The reader streams: past at most one byte-order mark, it decodes the
+file as ASCII with universal newlines and cuts about 64 KiB of whole
+lines at a time with ``str.splitlines``, the grammar's own splitter;
+``np.loadtxt`` parses each piece's lines in one call, without one float
+object per cell.  It is trusted only when it returns ``(n, 2)`` finite
+values; a piece numpy refuses is parsed once more without its
+whitespace-only lines.  Anything else goes to the line parser, which
+reads the whole record again row by row and is the grammar of record:
+it takes what ``float()`` takes (``1_000``, non-ASCII digits) and words
+every error with its line number.  Both stop at ``resonator.MAX_SAMPLES``
+data rows: a longer record is refused before more rows are held.
 
 Peak extraction runs a max/min alternation state machine: a candidate
 maximum is accepted only after the signal falls at least the hysteresis
@@ -35,10 +35,8 @@ from __future__ import annotations
 
 import io
 import math
-import re
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -176,90 +174,69 @@ def _byte_stream(source):
     return io.BytesIO(data), "strict"
 
 
-# besides CR and LF, the ASCII characters str.splitlines breaks a line at;
-# np.loadtxt reads them as whitespace inside a row (the non-ASCII ones,
-# U+0085, U+2028 and U+2029, stop the ASCII decoder)
-_OTHER_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-
-# rows per np.loadtxt call, which allocates max_rows rows up front
-_BLOCK_ROWS = 1 << 16
-
-# bytes per read of the record past its header
+# characters (ASCII, so bytes) per read of the record past its header
 _READ_BYTES = 1 << 16
 
-# a line of the blanks left once VT, FF, FS, GS and RS are ruled out: the
-# line parser skips it (str.strip empties it), np.loadtxt refuses it
-_BLANK_LINE = re.compile(rb"([\r\n])[ \t\x1f]+(?![^\r\n])")
 
-
-def _pieces(raw):
-    """The rest of ``raw`` in whole lines, about _READ_BYTES at a time.
-    Each piece starts at a line break (the first one stands for the
-    header's), so a blank line in it is a break followed by blanks."""
-    rest = b"\n"
+def _pieces(text):
+    """The lines of ``text``, about _READ_BYTES characters of whole lines
+    at a time; a line longer than one read is gathered in parts and
+    joined once."""
+    rest = ""
     while True:
         parts = [rest]
-        while more := raw.read(_READ_BYTES):
+        while more := text.read(_READ_BYTES):
             parts.append(more)
-            if b"\n" in more or b"\r" in more:
+            if "\n" in more:
                 break
-        data = b"".join(parts)
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) if more else len(data)
-        yield data[:cut]
+        data = "".join(parts)
+        cut = data.rfind("\n") + 1 if more else len(data)
+        yield data[:cut].splitlines()
         if not more:
             return
         rest = data[cut:]
 
 
-def _parse_piece(data: bytes, rows: int):
-    """``np.loadtxt``'s blocks of one piece, given the ``rows`` read
-    before it, up to the first row past ``MAX_SAMPLES``; None when numpy
-    cannot take the piece.  numpy refuses a whitespace-only line, which
-    the line parser skips, so a refused piece is tried once more with
-    such lines emptied."""
+def _parse_piece(lines, rows: int):
+    """``np.loadtxt``'s rows of one piece, given the ``rows`` read before
+    it, up to the first row past ``MAX_SAMPLES``; None when numpy cannot
+    take the piece.  numpy refuses a whitespace-only line, which the line
+    parser skips, so a refused piece is parsed once more without them."""
+    want = min(len(lines), MAX_SAMPLES + 1 - rows)
     try:
-        lines = data.decode("ascii").splitlines()  # CRLF, CR and LF alike
-        rest, blocks = iter(lines), []
-        while rows <= MAX_SAMPLES:
-            want = min(_BLOCK_ROWS, MAX_SAMPLES + 1 - rows, len(lines))
-            block = np.loadtxt(rest, delimiter=",", comments=None, dtype=float, ndmin=2, max_rows=want)
-            if block.size == 0:
-                break
-            if block.shape[1] != 2:
-                raise ValueError("not two columns")
-            blocks.append(block)
-            rows += len(block)
-            if len(block) < want:
-                break
-        return blocks
-    except ValueError:  # numpy's parse errors, a non-ASCII byte, another shape
-        emptied = _BLANK_LINE.sub(rb"\1", data)
-        return None if emptied == data else _parse_piece(emptied, rows)
+        block = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2, max_rows=want)
+    except ValueError:  # numpy's parse errors
+        kept = [line for line in lines if not line.isspace()]
+        return None if len(kept) == len(lines) else _parse_piece(kept, rows)
+    return block if block.shape[1] == 2 or not block.size else None
 
 
 def _read_fast(raw):
     """``(t, v)`` parsed by ``np.loadtxt``, or None when the line parser
     must decide: an unusual header or byte, a parse error, another shape
     or a non-finite cell."""
-    header = raw.readline().decode("utf-8", "replace").splitlines()
-    if len(header) != 1 or header[0].lstrip("\ufeff").strip() != CSV_HEADER:
-        return None
-    start = raw.tell()
-    for block in iter(partial(raw.read, _READ_BYTES), b""):
-        if any(c in block for c in _OTHER_BREAKS):
-            return None
-    raw.seek(start)
+    raw.seek(3 if raw.read(3) == "\ufeff".encode() else 0)
+    text = io.TextIOWrapper(raw, encoding="ascii", newline=None)  # CRLF and CR read as LF
     blocks, rows = [], 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # numpy warns when a call finds no row
-        for data in _pieces(raw):
-            piece = _parse_piece(data, rows)
-            if piece is None:
-                return None
-            blocks += piece
-            rows += sum(map(len, piece))
-            if rows > MAX_SAMPLES:
-                raise _over_cap()
+    try:
+        header = text.readline().splitlines()
+        if len(header) != 1 or header[0].strip() != CSV_HEADER:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns when a call finds no row
+            for lines in _pieces(text):
+                block = _parse_piece(lines, rows)
+                if block is None:
+                    return None
+                if block.size:
+                    blocks.append(block)
+                rows += len(block)
+                if rows > MAX_SAMPLES:
+                    raise _over_cap()
+    except UnicodeDecodeError:  # a byte the line parser words
+        return None
+    finally:
+        text.detach()  # leaves raw open for the line parser
     if not blocks:
         return None
     t = np.concatenate([block[:, 0] for block in blocks])

@@ -16,10 +16,10 @@ from qfm import (
     SignAlignment,
     SimTrace,
     SimulationError,
+    TraceRows,
     capture_model,
     count_pseudo_periods,
     derive_dynamics,
-    effective_threshold,
     pessimistic_nonidealities,
     predicted_measurement,
     q_from_count,
@@ -39,6 +39,11 @@ def threshold_pair(sign=SignAlignment.PLUS):
     return CircuitNonIdealities(
         comparator_offset=10e-3, divider_error=0.01, worst_case_sign=sign
     )
+
+
+def columns_of(rows):
+    """The rows as TraceRows, one array per field."""
+    return TraceRows(*(np.array([getattr(r, name) for r in rows]) for name in SimTrace.CSV_COLUMNS))
 
 
 class TestCaptureModel:
@@ -84,37 +89,18 @@ class TestCaptureModel:
 
 
 class TestEffectiveThreshold:
+    """The stop threshold the comparator applies, as the closed form reports it."""
+
     def test_pessimistic_corners(self):
-        ni_plus = threshold_pair(SignAlignment.PLUS)
-        thr = effective_threshold(1.0, 6.0, ni_plus)
+        thr = predicted_measurement(PARAMS, K6, threshold_pair(SignAlignment.PLUS)).threshold_used
         assert thr == pytest.approx(1.0 / 6.06 + 0.01, rel=1e-12)
         assert thr == pytest.approx(0.17502, abs=1e-5)
-        ni_minus = threshold_pair(SignAlignment.MINUS)
-        thr = effective_threshold(1.0, 6.0, ni_minus)
+        thr = predicted_measurement(PARAMS, K6, threshold_pair(SignAlignment.MINUS)).threshold_used
         assert thr == pytest.approx(1.0 / 5.94 - 0.01, rel=1e-12)
         assert thr == pytest.approx(0.15835, abs=1e-5)
 
     def test_ideal_is_exact_division(self):
-        assert effective_threshold(1.0, 6.0, IDEAL) == pytest.approx(1 / 6, rel=1e-15)
-
-    def test_independent_needs_rng_and_is_seeded(self):
-        ni = threshold_pair(SignAlignment.INDEPENDENT)
-        with pytest.raises(ValueError):
-            effective_threshold(1.0, 6.0, ni)
-        a = effective_threshold(1.0, 6.0, ni, np.random.default_rng(5))
-        b = effective_threshold(1.0, 6.0, ni, np.random.default_rng(5))
-        assert a == b
-        corners = {
-            effective_threshold(1.0, 6.0, ni, np.random.default_rng(s))
-            for s in range(40)
-        }
-        assert len(corners) == 4  # both signs of both sources show up
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            effective_threshold(0.0, 6.0, IDEAL)
-        with pytest.raises(ValueError):
-            effective_threshold(1.0, 1.0, IDEAL)
+        assert predicted_measurement(PARAMS, K6, IDEAL).threshold_used == pytest.approx(1 / 6, rel=1e-15)
 
 
 class TestPredicted:
@@ -337,12 +323,12 @@ class TestTraceRows:
         assert not (trace.rows != rows) and not (rows != trace.rows)
         assert trace.rows == again.rows and trace == again
         assert trace.rows != tuple(rows)  # a list never equals a tuple
-        # a trace built from rows keeps them as the same columns
-        rebuilt = SimTrace(rows=rows, captured_v0=trace.captured_v0, threshold=trace.threshold)
+        # a trace built from the rows' columns
+        rebuilt = SimTrace(rows=columns_of(rows), captured_v0=trace.captured_v0, threshold=trace.threshold)
         assert rebuilt == trace and rebuilt.to_csv_string() == trace.to_csv_string()
 
         rows[5] = dataclasses.replace(rows[5], captured_peak=rows[5].captured_peak + 1e-12)
-        changed = SimTrace(rows=rows, captured_v0=trace.captured_v0, threshold=trace.threshold)
+        changed = SimTrace(rows=columns_of(rows), captured_v0=trace.captured_v0, threshold=trace.threshold)
         assert changed.rows != trace.rows and trace.rows != changed.rows
         assert trace.rows != rows and rows != trace.rows
         assert not (trace.rows == rows) and changed != trace

@@ -22,6 +22,7 @@ from qfm import (
     SimTrace,
     SimulationError,
     TraceRow,
+    TraceRows,
     capture_model,
     derive_dynamics,
     simulate_measurement,
@@ -124,7 +125,8 @@ def reference_simulate(params, config, ni, samples_per_period, seed, synth=refer
         relative_error=(q - params.q) / params.q,
         threshold_used=thr,
     )
-    return result, SimTrace(rows=rows, captured_v0=captured_v0, threshold=thr)
+    columns = (np.array([getattr(r, name) for r in rows]) for name in SimTrace.CSV_COLUMNS)
+    return result, SimTrace(rows=TraceRows(*columns), captured_v0=captured_v0, threshold=thr)
 
 
 def draw(i):
@@ -284,7 +286,10 @@ def test_edges_match_reference():
             for v0 in (h / 2, -h / 2)
         ]
         for v in cases:
-            assert np.array_equal(_rising_edges(v, h), reference_edges(v, h))
+            edges, setter = _rising_edges(v, h)
+            assert np.array_equal(edges, reference_edges(v, h))
+            live = np.flatnonzero(np.abs(v) > h)  # a sample outside the dead band sets the state, else v[0]
+            assert setter == (live[-1] if live.size else 0)
 
 
 def test_capture_model_broadcast_matches_scalar():
