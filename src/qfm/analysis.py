@@ -48,7 +48,7 @@ from .counting import (
     expand_range,
     first_crossing,
 )
-from .resonator import ResonatorParams
+from .resonator import ResonatorParams, check_f0_v0
 from .tables import SweepTable
 
 __all__ = [
@@ -108,6 +108,7 @@ def worst_case_sweep(
     where every corner fails to complete are recorded with NA markers.
     One kernel call per k covers the (corner x Q) grid.
     """
+    check_f0_v0(f0, v0)
     ks = check_k(list(k_values))
     qs = expand_range(q_range)
     corners = _corner_signs(exhaustive)
@@ -149,6 +150,7 @@ def optimal_k(
     that score each go on block by block until they can no longer beat
     the best k so far, which picks the same k as scoring every cell.
     """
+    check_f0_v0(f0, v0)
     ks = check_k(list(k_grid))
     qs = expand_range(q_range)
     check_grid_size(len(_ALIGNED_CORNERS) * qs.size, f"the 2 corner x {qs.size} Q grid")

@@ -28,10 +28,18 @@ independently drawn signs.  Two evaluation paths are provided and are
 required to agree to within one count: ``simulate_measurement`` samples
 the ring-down, ``predicted_measurement`` evaluates the same model in
 closed form.  The sampled run synthesizes, clocks and captures the
-ring-down in fixed blocks of samples, carrying the comparator's held
-state and the open cycle from block to block, and ends with the block
-in which the counter stops; its working memory is one block's buffers
+ring-down in fixed blocks of samples, carrying the comparator's state
+and the open cycle from block to block, and ends with the block in
+which the counter stops; its working memory is one block's buffers
 plus a few numbers per clock cycle, whatever the record's length.
+
+A block's samples come approximate, within a stated bound of the exact
+ones (see ``resonator._sim_blocks``).  The comparator and each cycle's
+maximum are decided on them, and the samples the bound leaves open are
+evaluated exactly: those within it of +/-hysteresis, and those within
+twice it of their cycle's approximate maximum, among which lie the
+cycle's exact maximum and every sample at it.  So every edge, maximum,
+peak time and count is the one the exact samples give.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from .counting import (
     first_crossing,
     held_crossing,
 )
-from .resonator import MAX_SAMPLES, ResonatorParams, _synth_blocks, derive_dynamics
+from .resonator import MAX_SAMPLES, ResonatorParams, _sim_blocks, derive_dynamics
 from .tables import SweepTable
 
 __all__ = [
@@ -342,31 +350,61 @@ _SAMPLED_MESSAGES = {
 }
 
 
-def _rising_edges(v: np.ndarray, hysteresis: float):
+def _margin(eps: float, level: float) -> float:
+    """Bound on |approximate - exact| for a sample near ``level`` volts
+    whose ring-down is within ``eps`` of the exact one: eps plus the
+    rounding of adding the noise to either, with room to spare."""
+    return eps * (1.0 + 2.0**-40) + 2.0**-48 * level
+
+
+def _settle_band(v, exact, eps, hysteresis, record_start):
+    """Make exact, in place, the approximate samples of ``v`` that may lie
+    on the other side of +/-hysteresis than the exact ones, and at the
+    record's start the first sample, whose sign may set the comparator's
+    state; the comparator then decides on ``v`` as on the exact samples."""
+    w = np.abs(v)
+    w -= hysteresis
+    unsure = np.flatnonzero(np.abs(w, out=w) <= _margin(eps, hysteresis))
+    if record_start and 0 not in unsure[:1]:
+        unsure = np.concatenate(([0], unsure))
+    if unsure.size:
+        v[unsure] = exact(unsure)
+
+
+def _rising_edges(v: np.ndarray, hysteresis: float, held: int = 0):
     """Clock-comparator rising edges (sample indices where the input
     leaves the +/-hysteresis dead band upward after having been below it)
-    and the index of the last sample that set the comparator's state.
+    and the comparator's state (+1 or -1) after the last sample.
+
+    ``held`` is the state before ``v[0]``; 0 opens the record, where the
+    sign of ``v[0]`` sets it.
     """
     h = hysteresis
-    state = np.zeros(v.size, dtype=np.int8)
-    state[v < -h] = -1
-    state[v > h] = 1
-    if state[0] == 0:
-        state[0] = 1 if v[0] > 0 else -1
-    # the held state at a sample is that of the last non-zero one at or
-    # before it, so the edges are the -1 -> 1 steps between non-zero samples
-    nz = np.flatnonzero(state)
-    s = state[nz]
-    return nz[1:][(s[1:] == 1) & (s[:-1] == -1)], nz[-1]
+    held = held or (1 if v[0] > 0 else -1)
+    # the runs of samples above and below the band, the held state
+    # standing as a one-sample run at index -1
+    up = np.concatenate(([held == 1], v > h, [False]))
+    down = np.concatenate(([held == -1], v < -h, [False]))
+    starts = np.flatnonzero(up[1:] > up[:-1])
+    # the last index of each run, after a -2 that stands for none
+    up_ends, down_ends = (np.concatenate(([-2], np.flatnonzero(r[:-1] > r[1:]) - 1)) for r in (up, down))
+    # a run above the band opens with an edge when a run below ended after
+    # the last run above before it
+    last_up = up_ends[np.searchsorted(up_ends, starts) - 1]
+    last_down = down_ends[np.searchsorted(down_ends, starts) - 1]
+    return starts[last_down > last_up], 1 if up_ends[-1] > down_ends[-1] else -1
 
 
-def _block_cycles(block, offset, edges, cycle):
+def _block_cycles(block, exact, eps, offset, edges, cycle):
     """The clock cycles closed within one block of samples, as
     ``(start, end, maximum, first index at it)`` arrays in record sample
     indices, or None, and the cycle left open after the block.
 
-    ``edges`` are the block's rising edges (block indices) and ``cycle``
-    the cycle open before it as ``(start, maximum, first index)``.
+    ``block`` holds approximate samples, each within ``_margin(eps, .)``
+    of the exact one, and ``exact(idx)`` gives the exact samples; the
+    maxima and their indices are exact.  ``edges`` are the block's
+    rising edges (block indices) and ``cycle`` the cycle open before it
+    as ``(start, exact maximum, first index)``.
     """
     start, peak, at = cycle
     # the open cycle's maximum stands before the block as an earlier
@@ -375,8 +413,18 @@ def _block_cycles(block, offset, edges, cycle):
     bounds = np.concatenate(([0], edges + 1, [x.size]))
     starts = bounds[:-1]
     seg_max = np.maximum.reduceat(x, starts)
-    hits = np.flatnonzero(x == np.repeat(seg_max, bounds[1:] - starts))
-    first = hits[np.searchsorted(hits, starts)]  # first sample at its cycle's maximum
+    # a cycle's exact maximum, and every sample at it, lies within two
+    # margins of its approximate maximum: only those samples are evaluated
+    near = seg_max - 2.0 * _margin(eps, float(np.abs(seg_max).max()))
+    hits = np.flatnonzero(x >= np.repeat(near, bounds[1:] - starts))
+    inner = hits[1:] if hits[0] == 0 else hits
+    x[inner] = exact(inner - 1)
+    seg_max, first = x[hits], hits  # when each cycle has one, its maximum
+    if hits.size > starts.size:
+        first_hit = np.searchsorted(hits, starts)
+        seg_max = np.maximum.reduceat(x[hits], first_hit)
+        tops = np.flatnonzero(x[hits] == np.repeat(seg_max, np.diff(first_hit, append=hits.size)))
+        first = hits[tops[np.searchsorted(tops, first_hit)]]  # first sample at its cycle's maximum
     first = np.where(first == 0, at, first - 1 + offset)
     if edges.size == 0:
         return None, (start, seg_max[0], first[0])
@@ -401,7 +449,9 @@ def simulate_measurement(
     counter runs while captured maxima exceed the effective threshold.
     The ring-down is synthesized and clocked in blocks of samples, the
     comparator state and the open cycle carried from one block to the
-    next, and the run ends with the block in which the counter stops;
+    next, decided on approximate samples and exact where the
+    approximation leaves a decision open; the run ends with the block
+    in which the counter stops;
     the trace holds cycles 0 up to the one that stopped the counter.
     Deterministic for a given seed (which drives the input noise and,
     for INDEPENDENT alignment, the error signs).
@@ -428,17 +478,18 @@ def simulate_measurement(
         )
 
     hysteresis = 4.0 * ni.noise_rms
-    held = None  # the last sample that set the comparator's state
+    held = 0  # the comparator's state before the block, 0 before the record
     cycle = (0, -math.inf, 0)  # the open cycle: start, maximum, first index at it
     peaks, firsts, captured = [], [], []  # per block, of the cycles it closed
     offset = 0
-    for block in _synth_blocks(params, sample_rate, n_samples, ni.noise_rms, noise_seed):
-        # the held sample restates the comparator's state before the block
-        v = block if held is None else np.concatenate(([held], block))
-        edges, setter = _rising_edges(v, hysteresis)
-        held = v[setter]
-        cycles, cycle = _block_cycles(block, offset, edges - (v.size - block.size), cycle)
-        offset += block.size
+    for block in _sim_blocks(params, sample_rate, n_samples, ni.noise_rms, noise_seed):
+        v = block.ring
+        if block.noise is not None:
+            v += block.noise
+        _settle_band(v, block.exact, block.eps, hysteresis, held == 0)
+        edges, held = _rising_edges(v, hysteresis, held)
+        cycles, cycle = _block_cycles(v, block.exact, block.eps, offset, edges, cycle)
+        offset += v.size
         last = offset == n_samples
         if cycles is None:
             continue

@@ -100,6 +100,12 @@ class TestWorstCaseSweep:
         with pytest.raises(ValueError):
             worst_case_sweep([], (100.0, 200.0, 1.0), PAIR, f0=F0)
 
+    @pytest.mark.parametrize("f0,v0", [(0.0, 1.0), (-5.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (F0, -1.0), (F0, 0.0), (F0, math.nan)])
+    def test_rejects_device_not_finite_and_positive(self, f0, v0):
+        name = "f0" if f0 != F0 else "v0"
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            worst_case_sweep([6.0], (100.0, 200.0, 1.0), PAIR, f0=f0, v0=v0)
+
     def test_failed_cells_marked_not_nan(self):
         # an opamp offset that holds every captured maximum above any
         # reachable threshold fails both corners; rows survive as markers
@@ -207,6 +213,12 @@ class TestOptimalK:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             optimal_k((100.0, 200.0, 1.0), PAIR, [], f0=F0)
+
+    @pytest.mark.parametrize("f0,v0", [(0.0, 1.0), (-5.0, 1.0), (math.inf, 1.0), (F0, -1.0), (F0, math.nan)])
+    def test_rejects_device_not_finite_and_positive(self, f0, v0):
+        name = "f0" if f0 != F0 else "v0"
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            optimal_k((100.0, 200.0, 1.0), PAIR, [5.0, 6.0], f0=f0, v0=v0)
 
     def test_rejects_oversized_corner_grid(self):
         # 600,001 Q points are within the axis limit, but the two

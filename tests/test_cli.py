@@ -213,6 +213,19 @@ class TestSweep:
             lines = out_csv.read_text().splitlines()[1:]
             assert sum(line.endswith(",NA,NA,NA") for line in lines) == na
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--f0", "0", "f0 must be finite and > 0 Hz"), ("--f0", "-5", "f0 must be"), ("--v0", "-1", "v0 must be")],
+    )
+    def test_worstcase_rejects_device_exits_2(self, capsys, tmp_path, recwarn, flag, value, message):
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run(capsys, "sweep", "worstcase", flag, value, "--out", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and message in err
+        assert not out_csv.exists()
+        assert not recwarn.list
+
     def test_unwritable_out_exits_4(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sweep", "theoretical",

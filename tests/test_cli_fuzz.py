@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 
 from qfm.cli import main
 
+# a warning is output the one-line contract does not allow for
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # well-formed values per key; the sweep axes take lists and ranges
 GOOD = {
     "f0": ("50kHz", "1kHz", "2MHz", "1e3,5e4", "1kHz:1MHz:log4", "10kHz:50kHz:20kHz"),

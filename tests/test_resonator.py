@@ -1,6 +1,7 @@
 """Closed-form response checks, cross-validated by independent numeric
 oracles (dense sampling, bisected zero crossings, local maximization)."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from qfm import (
     peak_value,
     synth_waveform,
 )
+from qfm import resonator
 
 
 def bisect_zero(params, lo, hi, iters=200):
@@ -263,6 +265,38 @@ class TestSynth:
         for rate, duration in ((5e6, 4.0), (1e300, 1e300)):
             with pytest.raises(ValueError, match="limit of 16777216 samples"):
                 synth_waveform(params, rate, duration)
+
+
+class TestSimBlocks:
+    """The simulator's blocks: an approximate ring-down within the block's
+    bound of the exact one, and exact samples bit for bit as synthesized."""
+
+    @pytest.mark.parametrize("q", [0.51, 0.7, 2.0, 50.0, 2e4, 1e6, 1e7])
+    @pytest.mark.parametrize("spp", [20, 37, 59])
+    def test_approximation_stays_within_a_quarter_of_its_bound(self, q, spp):
+        # the first blocks and the last of a MAX_SAMPLES record, where the
+        # phase and with it the rounding of both evaluations is largest
+        params = ResonatorParams(f0=1e6, q=q, v0=1.3)
+        blocks = resonator._sim_blocks(params, spp * params.f0, resonator.MAX_SAMPLES, 0.0, 0)
+        checked = [(b.ring.copy(), b.exact(np.arange(b.ring.size)), b.eps) for b in itertools.islice(blocks, 2)]
+        *_, last = blocks
+        checked.append((last.ring, last.exact(np.arange(last.ring.size)), last.eps))
+        for ring, exact, eps in checked:
+            assert eps > 0 and np.abs(ring - exact).max() <= eps / 4
+
+    def test_exact_samples_are_the_synthesized_ones(self):
+        params = ResonatorParams(f0=37e3, q=1234.5, v0=1.7)
+        rate, n = 41 * params.f0, 40_000
+        wave = synth_waveform(params, rate, n / rate, noise_rms=1e-3, seed=9).samples
+        rng = np.random.default_rng(3)
+        offset = 0
+        for b in resonator._sim_blocks(params, rate, n, 1e-3, 9):
+            whole = wave[offset:offset + b.ring.size]
+            assert b.exact(np.arange(whole.size)).tobytes() == whole.tobytes()
+            idx = np.sort(rng.choice(whole.size, 1 + int(rng.integers(100)), replace=False))
+            assert b.exact(idx).tobytes() == whole[idx].tobytes()
+            offset += whole.size
+        assert offset == n
 
 
 class TestWaveform:

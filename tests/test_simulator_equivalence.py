@@ -25,6 +25,7 @@ from qfm import (
     TraceRows,
     capture_model,
     derive_dynamics,
+    eval_response,
     simulate_measurement,
     synth_waveform,
 )
@@ -167,10 +168,12 @@ def test_criterion_06_draws_match_reference(i):
     assert_same_run(draw(i))
 
 
+# the longest record of the draws: Q 20,000, k 10, 59 samples per period
+CORNER = (ResonatorParams(f0=1e6, q=20_000.0), MeasurementConfig(10.0, FIRST), CircuitNonIdealities(noise_rms=1e-4), 59, 0)
+
+
 def test_reference_corner_matches():
-    # the longest record of the draws: Q 20,000, k 10, 59 samples per period
-    params = ResonatorParams(f0=1e6, q=20_000.0)
-    assert_same_run((params, MeasurementConfig(10.0, FIRST), CircuitNonIdealities(noise_rms=1e-4), 59, 0))
+    assert_same_run(CORNER)
 
 
 PATHOLOGICAL = {
@@ -238,28 +241,6 @@ def test_pathological_configs_raise_the_same_message(name):
     assert str(raised.value) == str(expected.value)
 
 
-def test_negative_cycle_maximum_is_floored_like_the_reference(monkeypatch):
-    # a record whose cycle 0 lies wholly below 0 V: its maximum enters the
-    # capture model as 0 V and the opamp offset alone forms V0; the second
-    # half is scaled down so that the leak can take the counter to a stop
-    def dipped(*args):
-        v = reference_synth(*args)
-        v[:3] = (-0.3, -0.2, 0.5)
-        v[v.size // 2:] *= 0.01
-        return v
-
-    monkeypatch.setattr(
-        circuit, "_synth_blocks",
-        lambda params, rate, n, noise_rms, seed: iter([dipped(params, rate, n / rate, noise_rms, seed)]),
-    )
-    ni = CircuitNonIdealities(opamp_offset=0.02, leak_droop=1500.0)
-    args = (ResonatorParams(f0=50e3, q=300.0), MeasurementConfig(6.0, LAST), ni, 50, 0)
-    expected, expected_trace = reference_simulate(*args, synth=dipped)
-    result, trace = simulate_measurement(*args)
-    assert trace.rows[0].true_peak == -0.2 and 0 < trace.rows[0].captured_peak < 0.02
-    assert (result, trace.rows) == (expected, expected_trace.rows)
-
-
 @pytest.mark.parametrize("noise", [0.0, 1e-4, 0.3])
 def test_synth_bytes_match_reference(noise):
     params = ResonatorParams(f0=37e3, q=1234.5, v0=1.7)
@@ -271,6 +252,7 @@ def test_synth_bytes_match_reference(noise):
 def test_edges_match_reference():
     rng = np.random.default_rng(4)
     edge_rng = np.random.default_rng(5)
+    cut_rng = np.random.default_rng(6)
     t = np.arange(20_000) / 50.0
     for h in (0.0, 0.01, 0.2):
         cases = []
@@ -286,10 +268,17 @@ def test_edges_match_reference():
             for v0 in (h / 2, -h / 2)
         ]
         for v in cases:
-            edges, setter = _rising_edges(v, h)
+            edges, state = _rising_edges(v, h)
             assert np.array_equal(edges, reference_edges(v, h))
             live = np.flatnonzero(np.abs(v) > h)  # a sample outside the dead band sets the state, else v[0]
-            assert setter == (live[-1] if live.size else 0)
+            assert state == (np.sign(v[live[-1]]) if live.size else (1 if v[0] > 0 else -1))
+            # cut anywhere, the state carried over the cut gives the same edges
+            cut = int(cut_rng.integers(1, v.size)) if v.size > 1 else 1
+            head, held = _rising_edges(v[:cut], h)
+            if cut < v.size:
+                tail, held = _rising_edges(v[cut:], h, held)
+                head = np.concatenate((head, tail + cut))
+            assert np.array_equal(head, edges) and held == state
 
 
 def test_capture_model_broadcast_matches_scalar():
@@ -378,13 +367,22 @@ def test_edge_on_the_first_sample_of_a_block(monkeypatch):
         assert_same_outcome(NOISELESS)
 
 
-def serve(monkeypatch, record, block):
-    """The run and the reference read ``record``, the run in blocks of ``block`` samples."""
+def served_blocks(record, block, eps=0.0, rng=None):
+    """``record`` as the simulator's blocks of ``block`` samples.  A served
+    record is exact: with ``eps`` > 0 the blocks' approximate samples are
+    moved by up to 0.99 eps, uniformly, and declared within eps."""
+    for offset in range(0, record.size, block):
+        exact = record[offset:offset + block]
+        ring = exact + rng.uniform(-0.99 * eps, 0.99 * eps, exact.size) if eps else exact.copy()
+        yield resonator._SimBlock(ring, None, eps, lambda idx, exact=exact: exact[idx])
+
+
+def serve(monkeypatch, record, block, eps=0.0):
+    """The run and the reference read ``record``, the run in blocks of
+    ``block`` samples, approximate to within ``eps`` (see served_blocks)."""
     monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
-    monkeypatch.setattr(
-        circuit, "_synth_blocks",
-        lambda params, rate, n, noise_rms, seed: (record[i:i + block] for i in range(0, n, block)),
-    )
+    rng = np.random.default_rng(11)
+    monkeypatch.setattr(circuit, "_sim_blocks", lambda *a: served_blocks(record, block, eps, rng))
     return lambda *args: record.copy()
 
 
@@ -397,31 +395,72 @@ def synthesized(args):
     return reference_synth(params, rate, record_length(*args) / rate, ni.noise_rms, int(rng.integers(0, 2**63 - 1)))
 
 
-def test_tied_maximum_across_a_block_boundary_keeps_the_earlier_sample(monkeypatch):
+# doctored records as (run arguments, record, block size)
+
+
+def dipped_record():
+    # cycle 0 lies wholly below 0 V: its maximum enters the capture model
+    # as 0 V and the opamp offset alone forms V0; the second half is scaled
+    # down so that the leak can take the counter to a stop
+    args = (
+        ResonatorParams(f0=50e3, q=300.0), MeasurementConfig(6.0, LAST),
+        CircuitNonIdealities(opamp_offset=0.02, leak_droop=1500.0), 50, 0,
+    )
+    record = synthesized(args)
+    record[:3] = (-0.3, -0.2, 0.5)
+    record[record.size // 2:] *= 0.01
+    return args, record, record.size
+
+
+def tied_record():
     # cycle 5's maximum is raised on the two samples either side of a
-    # block boundary; the trace must report the first of them
+    # block boundary
     params, _, _, spp, _ = NOISELESS
-    rate = spp * params.f0
-    boundary = round(5 * derive_dynamics(params).pseudo_period * rate)
+    boundary = round(5 * derive_dynamics(params).pseudo_period * spp * params.f0)
     record = synthesized(NOISELESS)
     record[boundary - 1:boundary + 1] = 1.5
-    synth = serve(monkeypatch, record, boundary)
-    expected, expected_trace = reference_simulate(*NOISELESS, synth=synth)
-    result, trace = simulate_measurement(*NOISELESS)
-    assert trace.rows[5].true_peak == 1.5 and trace.rows[5].peak_time == (boundary - 1) / rate
-    assert (result, trace.rows, trace.to_csv_string()) == (expected, expected_trace.rows, expected_trace.to_csv_string())
+    return NOISELESS, record, boundary
 
 
-def test_dead_band_sample_ending_a_block_keeps_the_held_state(monkeypatch):
+def dead_band_record():
     # a block ends just before cycle 3's rising edge on a sample inside the
-    # dead band but above 0 V: the comparator still holds "below", so the
-    # next block's first sample is an edge
+    # dead band but above 0 V
     args = (ResonatorParams(f0=50e3, q=300.0), MeasurementConfig(6.0, LAST), CircuitNonIdealities(noise_rms=1e-3), 50, 0)
     h = 4.0 * args[2].noise_rms
     record = synthesized(args)
     edge = int(reference_edges(record, h)[3])
     record[edge - 1] = h / 2
-    assert edge in reference_edges(record, h)
+    return args, record, edge
+
+
+DOCTORED = {"dipped": dipped_record, "tied": tied_record, "dead_band": dead_band_record}
+
+
+def test_negative_cycle_maximum_is_floored_like_the_reference(monkeypatch):
+    args, record, block = dipped_record()
+    synth = serve(monkeypatch, record, block)
+    expected, expected_trace = reference_simulate(*args, synth=synth)
+    result, trace = simulate_measurement(*args)
+    assert trace.rows[0].true_peak == -0.2 and 0 < trace.rows[0].captured_peak < 0.02
+    assert (result, trace.rows) == (expected, expected_trace.rows)
+
+
+def test_tied_maximum_across_a_block_boundary_keeps_the_earlier_sample(monkeypatch):
+    # the trace must report the first of the two tied samples
+    args, record, boundary = tied_record()
+    rate = args[3] * args[0].f0
+    synth = serve(monkeypatch, record, boundary)
+    expected, expected_trace = reference_simulate(*args, synth=synth)
+    result, trace = simulate_measurement(*args)
+    assert trace.rows[5].true_peak == 1.5 and trace.rows[5].peak_time == (boundary - 1) / rate
+    assert (result, trace.rows, trace.to_csv_string()) == (expected, expected_trace.rows, expected_trace.to_csv_string())
+
+
+def test_dead_band_sample_ending_a_block_keeps_the_held_state(monkeypatch):
+    # the comparator still holds "below" at the block's end, so the next
+    # block's first sample is an edge
+    args, record, edge = dead_band_record()
+    assert edge in reference_edges(record, 4.0 * args[2].noise_rms)
     synth = serve(monkeypatch, record, edge)
     expected, expected_trace = reference_simulate(*args, synth=synth)
     result, trace = simulate_measurement(*args)
@@ -439,11 +478,61 @@ def test_stop_in_the_first_block_ends_the_run(monkeypatch):
     served = []
 
     def counted(*a):
-        for b in resonator._synth_blocks(*a):
-            served.append(b.size)
+        for b in resonator._sim_blocks(*a):
+            served.append(b.ring.size)
             yield b
 
     monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
-    monkeypatch.setattr(circuit, "_synth_blocks", counted)
+    monkeypatch.setattr(circuit, "_sim_blocks", counted)
     assert_same_outcome(args)
     assert served == [block]
+
+
+# ---------------------------------------------------------------------------
+# the run decides on approximate samples: any approximation within the
+# blocks' declared bound must leave every outcome as it is
+
+
+def perturbed_blocks(rng, floor):
+    """The simulator's blocks with the approximate ring-down replaced by
+    the exact one moved by up to 0.99 eps, uniformly, where eps is the
+    block's bound raised to at least ``floor`` volts."""
+    def blocks(params, rate, n, noise_rms, seed):
+        offset = 0
+        for b in resonator._sim_blocks(params, rate, n, noise_rms, seed):
+            eps = max(b.eps, floor)
+            ring = eval_response(params, (offset + np.arange(b.ring.size)) / rate)
+            ring += rng.uniform(-0.99 * eps, 0.99 * eps, ring.size)
+            yield b._replace(ring=ring, eps=eps)
+            offset += ring.size
+    return blocks
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-6, 1e-3])
+def test_draws_match_reference_on_any_approximation_within_the_bound(monkeypatch, floor):
+    monkeypatch.setattr(circuit, "_sim_blocks", perturbed_blocks(np.random.default_rng(12), floor))
+    runs = [args for args in map(draw, range(60)) if record_length(*args) <= 300_000]
+    assert len(runs) >= 15
+    for args in runs + [PATHOLOGICAL[name] for name in ("v0_zero", "no_edge", "no_stop", "no_decay")]:
+        assert_same_outcome(args)
+
+
+@pytest.mark.parametrize("name", sorted(DOCTORED))
+def test_doctored_records_match_reference_on_any_approximation_within_the_bound(monkeypatch, name):
+    args, record, block = DOCTORED[name]()
+    synth = serve(monkeypatch, record, block, eps=1e-3)
+    expected, expected_trace = reference_simulate(*args, synth=synth)
+    result, trace = simulate_measurement(*args)
+    assert (result, trace.to_csv_string()) == (expected, expected_trace.to_csv_string())
+
+
+def test_corner_evaluates_at_most_two_samples_per_cycle_exactly(monkeypatch):
+    evaluated = []
+
+    def counted(*a):
+        for b in resonator._sim_blocks(*a):
+            yield b._replace(exact=lambda idx, exact=b.exact: evaluated.append(idx.size) or exact(idx))
+
+    monkeypatch.setattr(circuit, "_sim_blocks", counted)
+    _, trace = simulate_measurement(*CORNER)
+    assert 0 < sum(evaluated) <= 2 * len(trace)
