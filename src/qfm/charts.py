@@ -2,7 +2,8 @@
 
 Presentation only: one polyline per series, absolute error in percent on
 the y axis.  Output is a deterministic string so rendered charts can be
-compared byte for byte.
+compared byte for byte.  Each distinct x position is formatted once and
+shared by every series that passes through it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from .tables import SweepTable, write_text
+from .tables import NA_MARKER, SweepTable, _format_distinct, write_text
 
 __all__ = ["svg_line_chart", "write_svg"]
 
@@ -39,21 +40,18 @@ def svg_line_chart(
 ) -> str:
     """Render |rel_error| in percent against x, one polyline per distinct
     value of the ``series`` column (single polyline when ``series`` is
-    None).  Rows with missing (NA or NaN) cells are skipped.
+    None); NaN series values share one polyline, as do NA series cells,
+    labelled ``NA``.  Rows with missing (NA or NaN) x or y cells are skipped.
     """
     xs, ys = table.column(x), table.column(_Y)
     plotted = np.flatnonzero(~(np.isnan(xs) | np.isnan(ys)))
     if not plotted.size:
         raise ValueError("nothing to plot: every row has missing cells")
     xs, ys = xs[plotted], np.abs(ys[plotted]) * 100.0
-    # positions in the plotted arrays, grouped by series value
-    groups: dict = {}
     if series is None:
-        groups[""] = np.arange(plotted.size)
+        groups = [("", np.arange(plotted.size))]
     else:
-        keys = table.cells(series)
-        for pos, i in enumerate(plotted.tolist()):
-            groups.setdefault(keys[i], []).append(pos)
+        groups = _groups(*(a[plotted] for a in table._pair(series)))
 
     if log_x and xs.min() <= 0:
         raise ValueError("log x axis needs positive x values")
@@ -118,9 +116,11 @@ def svg_line_chart(
         f"|{_Y}| [%]</text>"
     )
 
-    for idx, (key, at) in enumerate(groups.items()):
+    xcells = _format_distinct(px(xts), lambda a: [f"{v:.2f}" for v in a.tolist()])
+    for idx, (label, at) in enumerate(groups):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px(xts[at]).tolist(), py(ys[at]).tolist()))
+        points = zip(map(xcells.__getitem__, at.tolist()), py(ys[at]).tolist())
+        coords = " ".join([f"{a},{b:.2f}" for a, b in points])
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -133,10 +133,21 @@ def svg_line_chart(
             )
             parts.append(
                 f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">'
-                f"{_escape(series)}={_fmt_tick(key)}</text>"
+                f"{_escape(series)}={label}</text>"
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _groups(keys: np.ndarray, na: np.ndarray) -> list:
+    """(legend label, positions) per distinct key, in order of first
+    appearance: -0.0 joins 0.0, every NaN one group, every NA cell one."""
+    ids = np.full(keys.size, -1)
+    ids[~na] = np.unique(keys[~na], return_inverse=True)[1]
+    order = np.argsort(ids, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(ids[order])) + 1)
+    runs.sort(key=lambda at: at[0])
+    return [(NA_MARKER if na[at[0]] else _fmt_tick(keys[at[0]]), at) for at in runs]
 
 
 def write_svg(table: SweepTable, dest, **kwargs) -> None:
@@ -155,10 +166,7 @@ def _escape(text: str) -> str:
 
 
 def _fmt_tick(v) -> str:
-    try:
-        v = float(v)
-    except (TypeError, ValueError):
-        return _escape(str(v))
+    v = float(v)
     if v != 0 and (abs(v) >= 1e4 or abs(v) < 1e-2):
         return f"{v:.1e}"
     return f"{v:g}"

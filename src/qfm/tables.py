@@ -4,6 +4,8 @@ Rows are kept in scan order.  A table stores one numpy array per column
 plus an NA mask for points where a measurement could not complete; NA
 cells are emitted as the explicit marker ``NA`` rather than NaN so
 downstream CSV consumers can tell a failed point from a numeric zero.
+A float column is formatted once per distinct value in each block of
+rows, and the strings are gathered back into place.
 """
 
 from __future__ import annotations
@@ -37,12 +39,31 @@ def _format_column(values: np.ndarray, na: np.ndarray) -> list:
     """``format_number`` over a whole column."""
     if values.dtype == bool:
         cells = ["1" if v else "0" for v in values.tolist()]
-    elif np.issubdtype(values.dtype, np.integer):
-        cells = [str(v) for v in values.tolist()]
-    else:
-        cells = [r[:-2] if r.endswith(".0") else r for r in map(repr, values.tolist())]
+    elif values.dtype.kind in "iu":
+        cells = list(map(str, values.tolist()))
+    elif values.dtype.kind == "f":
+        cells = _format_distinct(values.astype(float, copy=False), _repr_cells)
+    else:  # an object column, such as Python ints past int64
+        cells = list(map(format_number, values.tolist()))
     for i in np.flatnonzero(na).tolist():
         cells[i] = NA_MARKER
+    return cells
+
+
+def _format_distinct(values: np.ndarray, fmt) -> list:
+    """``fmt`` (float array -> list of str) applied once per distinct bit
+    pattern of ``values`` (-0.0 and 0.0 stay apart), gathered into place."""
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    if first.size == values.size:
+        return fmt(values)
+    return np.array(fmt(values[first]), dtype=object)[inverse].tolist()
+
+
+def _repr_cells(values: np.ndarray) -> list:
+    # shortest repr; only an integral value's repr can end in ".0"
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(values == np.trunc(values)).tolist():
+        cells[i] = cells[i].removesuffix(".0")
     return cells
 
 

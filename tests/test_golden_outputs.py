@@ -5,7 +5,8 @@ scalar implementation the crossing kernel replaced, the trace and
 frequency-sweep digests from the per-cycle simulator loop the array pass
 replaced; any change to the numbers, their formatting or the chart
 rendering shows up here.  The synth digest was recorded from the
-per-sample CSV writer that the column formatter replaced.
+per-sample CSV writer that the column formatter replaced, the frequency
+chart's digest from the chart that formatted every point.
 """
 
 import hashlib
@@ -31,6 +32,8 @@ DIGESTS = {
     "worstcase.csv": "ac0729059e1e02fe24e0347fd8b39f18c8c094ae35e230a13f27c10d9e32b214",
     "worstcase.svg": "df5cdd6a8f458f3fafae9d5cdb293b0229eb0b41b5d812efbf4b821dac437be8",
     "exhaustive.csv": "2c02197b3fa4afd405e709c139f836b98a9f7a04f1aba9ac547db96ff11182fb",
+    "frequency.csv": "a6f2a4361cafaff60d7f51ca20e1e0923f0763dde3ef44fb2839636056ef45e5",
+    "frequency.svg": "d9fcaf6c307d8379527f2ada2ff9b4b23063dca92253437df6563aa58503c135",
 }
 
 TRACE_DIGESTS = {
@@ -76,7 +79,15 @@ def test_frequency_sweep_cli_csv(tmp_path, capsys):
     csv = tmp_path / "frequency.csv"
     assert main(["sweep", "frequency", "--out", str(csv)]) == 0
     assert "rows=37" in capsys.readouterr().out
-    assert sha256(csv) == "a6f2a4361cafaff60d7f51ca20e1e0923f0763dde3ef44fb2839636056ef45e5"
+    assert sha256(csv) == DIGESTS["frequency.csv"]
+
+
+def test_frequency_sweep_cli_svg(tmp_path):
+    # the log-x chart without series
+    csv, svg = tmp_path / "frequency.csv", tmp_path / "frequency.svg"
+    assert main(["sweep", "frequency", "--out", str(csv), "--svg", str(svg)]) == 0
+    assert sha256(csv) == DIGESTS["frequency.csv"]
+    assert sha256(svg) == DIGESTS["frequency.svg"]
 
 
 def test_exhaustive_worst_case_csv(tmp_path):

@@ -5,9 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfm import SweepTable
-from qfm.tables import format_number
+from qfm.tables import _CSV_BLOCK, format_number
 
 
 class TestFormatNumber:
@@ -111,3 +113,71 @@ class TestSweepTable:
         empty = SweepTable(columns=("a", "b"))
         assert len(empty) == 0 and empty.to_csv_string() == "a,b\n"
         assert empty.column("a").size == 0 and empty.rows == []
+
+
+def per_cell_csv(table) -> str:
+    """The CSV spelled out cell by cell through ``format_number``."""
+    lines = [",".join(table.columns)]
+    lines += [",".join(map(format_number, row)) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+NAN_PAYLOAD = float(np.array([0x7FF8000000000001]).view(np.float64)[0])
+SPECIAL = (
+    0.0, -0.0, float("inf"), float("-inf"), float("nan"), NAN_PAYLOAD, 1e16,
+    9999999999999998.0, 5e-324, 1e-05, -1.0, -3.0, -1e15, 0.1, 1 / 3, 50000.0,
+)
+floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+@st.composite
+def blocks(draw, width):
+    """One block of rows: per column a kind (bool, int or float), values
+    drawn from a few distinct ones, and an NA mask."""
+    rows = draw(st.integers(0, 3 * _CSV_BLOCK + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, masks = [], []
+    for _ in range(width):
+        kind = draw(st.sampled_from(["bool", "int", "float"]))
+        if kind == "bool":
+            pool = np.array([False, True])
+        elif kind == "int":
+            pool = np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8)))
+        else:
+            pool = np.array(draw(st.lists(floats, min_size=1, max_size=20)), dtype=float)
+        columns.append(pool[rng.integers(0, pool.size, rows)])
+        na_share = draw(st.sampled_from([0.0, 0.0, 0.1, 1.0]))
+        masks.append(rng.random(rows) < na_share if na_share else None)
+    return columns, masks
+
+
+class TestCsvAgainstPerCell:
+    """The column formatter, which formats each distinct value of a block
+    once, against ``format_number`` applied to every cell."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda w: st.lists(blocks(w), min_size=1, max_size=3)))
+    def test_heavily_duplicated_blocks(self, drawn):
+        table = SweepTable(columns=[f"c{i}" for i in range(len(drawn[0][0]))])
+        for columns, masks in drawn:
+            table.extend(*columns, na=masks)
+        assert table.to_csv_string() == per_cell_csv(table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(floats, st.one_of(st.none(), floats, st.integers(), st.booleans()))))
+    def test_rows_appended_one_by_one(self, rows):
+        table = SweepTable(columns=("x", "y"))
+        for row in rows:
+            table.append(*row)
+        assert table.to_csv_string() == per_cell_csv(table)
+
+    def test_distinct_values_past_a_block(self):
+        values = np.arange(-2 * _CSV_BLOCK, 2 * _CSV_BLOCK + 7) / 4.0
+        table = SweepTable(columns=("v", "w"))
+        table.extend(values, -values[::-1], na=(values % 3 == 0, None))
+        assert table.to_csv_string() == per_cell_csv(table)
+
+    def test_signed_zeros_stay_apart(self):
+        table = SweepTable(columns=("z",))
+        table.extend(np.array([0.0, -0.0, 0.0, -0.0]))
+        assert table.to_csv_string() == "z\n0\n-0\n0\n-0\n"
