@@ -186,7 +186,8 @@ class Envelope:
         self.v0, self.gain = v0, gain
         w0 = 2.0 * math.pi * f0
         self.alpha = w0 / (2.0 * self.q)
-        self.period = 2.0 * math.pi / (w0 * np.sqrt(1.0 - 1.0 / (4.0 * self.q * self.q)))
+        with np.errstate(over="ignore"):  # 4 q^2 past the float range: T's limit 2 pi / w0
+            self.period = 2.0 * math.pi / (w0 * np.sqrt(1.0 - 1.0 / (4.0 * self.q * self.q)))
         self.drop = diode * diode_ramp + leak * self.period
         self.opamp = np.asarray(opamp, dtype=float)
         self.v0_captured = self.captured(0)

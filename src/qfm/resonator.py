@@ -130,20 +130,32 @@ def eval_response(params: ResonatorParams, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0):
         raise ValueError("t must be >= 0 (response starts at the release instant)")
+    v = _ring(*_ring_constants(params), t)
+    return float(v[0]) if scalar else v
+
+
+def _ring_constants(params: ResonatorParams):
+    """The ring-down's constants as :func:`_ring` takes them:
+    (omega_d, c, -alpha, v0) with c = 1 / sqrt(4 q^2 - 1)."""
     dyn = derive_dynamics(params)
-    c = 1.0 / math.sqrt(4.0 * params.q * params.q - 1.0)
-    # v0 * exp(-alpha t) * (cos(omega_d t) + c sin(omega_d t)), evaluated
-    # in two work buffers
-    phase = np.multiply(dyn.omega_d, t)
+    return dyn.omega_d, 1.0 / math.sqrt(4.0 * params.q * params.q - 1.0), -dyn.alpha, params.v0
+
+
+def _ring(omega_d, c, neg_alpha, v0, t):
+    """v0 exp(-alpha t) (cos(omega_d t) + c sin(omega_d t)) over a 1-D
+    float array of times t, unchecked, in two work buffers.  Every exact
+    sample (eval_response, synth_waveform, the simulator's exact(idx))
+    is this kernel's, so they agree bit for bit."""
+    phase = np.multiply(omega_d, t)
     v = np.cos(phase)
     np.sin(phase, out=phase)
     np.multiply(c, phase, out=phase)
     np.add(v, phase, out=phase)
-    np.multiply(-dyn.alpha, t, out=v)
+    np.multiply(neg_alpha, t, out=v)
     np.exp(v, out=v)
-    np.multiply(params.v0, v, out=v)
+    np.multiply(v0, v, out=v)
     np.multiply(v, phase, out=v)
-    return float(v[0]) if scalar else v
+    return v
 
 
 def peak_time(params: ResonatorParams, m) -> float:
@@ -214,10 +226,10 @@ class _SimBlock(NamedTuple):
     exact: Callable[[np.ndarray], np.ndarray]
 
 
-def _exact_samples(params, sample_rate, offset, noise, idx):
-    # eval_response works elementwise, so a gathered index evaluates to
-    # the same bits as the whole block does
-    v = eval_response(params, (offset + idx) / sample_rate)
+def _exact_samples(constants, sample_rate, offset, noise, idx):
+    # the kernel works elementwise, so a gathered index evaluates to the
+    # same bits as the whole block does
+    v = _ring(*constants, (offset + idx) / sample_rate)
     if noise is not None:
         v += noise[idx]
     return v
@@ -249,30 +261,30 @@ def _sim_blocks(params: ResonatorParams, sample_rate: float, n: int, noise_rms: 
     samples per period the error measured near sample 2^24 is 1.16e-9 V0,
     a twelfth of eps.
     """
-    dyn = derive_dynamics(params)
-    c = 1.0 / math.sqrt(4.0 * params.q * params.q - 1.0)
+    constants = _ring_constants(params)
+    omega_d, c, neg_alpha, v0 = constants
     rng = np.random.default_rng(seed) if noise_rms > 0 else None
     tau = np.arange(_SIM_ROW) / sample_rate
-    pq = np.exp(-dyn.alpha * tau) * np.stack((np.cos(dyn.omega_d * tau), np.sin(dyn.omega_d * tau)))
+    pq = np.exp(neg_alpha * tau) * np.stack((np.cos(omega_d * tau), np.sin(omega_d * tau)))
     rows = -(-min(_SIM_BLOCK, n) // _SIM_ROW)
     ab, ring = np.empty((rows, 2)), np.empty((rows, _SIM_ROW))
-    floor = math.ldexp(params.v0, -1000)
+    floor = math.ldexp(v0, -1000)
     for offset in range(0, n, _SIM_BLOCK):
         size = min(_SIM_BLOCK, n - offset)
         r = -(-size // _SIM_ROW)
         t = (offset + _SIM_ROW * np.arange(r)) / sample_rate
-        phase = dyn.omega_d * t
+        phase = omega_d * t
         cos, sin = np.cos(phase), np.sin(phase)
-        amp = params.v0 * np.exp(-dyn.alpha * t)
+        amp = v0 * np.exp(neg_alpha * t)
         np.multiply(amp, cos + c * sin, out=ab[:r, 0])
         np.multiply(amp, c * cos - sin, out=ab[:r, 1])
         np.matmul(ab[:r], pq, out=ring[:r])
         noise = rng.normal(0.0, noise_rms, size) if rng is not None else None
-        end_phase = dyn.omega_d * (offset + r * _SIM_ROW) / sample_rate
+        end_phase = omega_d * (offset + r * _SIM_ROW) / sample_rate
         eps = amp[0] * (1.0 + c) * (16.0 * (1.0 + c) * end_phase + 512.0) * 2.0**-52 + floor
         yield _SimBlock(
             ring[:r].reshape(-1)[:size], noise, eps,
-            partial(_exact_samples, params, sample_rate, offset, noise),
+            partial(_exact_samples, constants, sample_rate, offset, noise),
         )
 
 
@@ -309,9 +321,10 @@ def synth_waveform(
         raise ValueError("duration too short: fewer than 2 samples requested")
     v = np.empty(n)
     rng = np.random.default_rng(seed) if noise_rms > 0 else None
+    constants = _ring_constants(params)
     for offset in range(0, n, _SIM_BLOCK):
         block = v[offset:offset + _SIM_BLOCK]
-        block[:] = eval_response(params, (offset + np.arange(block.size)) / sample_rate)
+        block[:] = _ring(*constants, (offset + np.arange(block.size)) / sample_rate)
         if rng is not None:
             block += rng.normal(0.0, noise_rms, block.size)
     return Waveform(sample_rate=sample_rate, samples=v)

@@ -113,7 +113,7 @@ class TestSimulate:
         assert code == 3
         assert out == ""
         assert len(err.strip().splitlines()) == 1
-        assert "28517250 samples" in err and "228 MB" in err
+        assert "28517250 samples" in err and "budget of 16777216 samples" in err and "MB" not in err
         assert peak < 10e6
 
     def test_sample_budget_aborts_frequency_sweep(self, capsys, tmp_path):
@@ -591,6 +591,31 @@ class TestNonFiniteInput:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and message in err
         assert not out_csv.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is one more stderr line
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            # the tracking gain's square overflows: gain 0, so no signal
+            (("simulate", "--f0", "1e200"), 3),
+            (("simulate", "--fbw", "1e-300"), 3),
+            (("sweep", "frequency", "--f0", "1e300"), 0),
+            (("sweep", "worstcase", "--f0", "1e300"), 0),
+            # 4 q^2 overflows in the envelope's period, whose limit is 2 pi / w0
+            (("sweep", "theoretical", "--q", "2e154:3e154:1e154"), 0),
+            (("simulate", "--q", "2e154"), 2),
+        ],
+    )
+    def test_huge_finite_input_ends_in_its_exit_code(self, capsys, tmp_path, argv, code):
+        out_csv = tmp_path / "out.csv"
+        if argv[0] == "sweep":
+            argv += ("--out", str(out_csv))
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert err.count("\n") == (code != 0) and "Traceback" not in err
+        if argv[0] == "sweep":  # every cell of the table is NA
+            fields = record_fields(out.strip())
+            assert fields["na"] == fields["rows"] and out_csv.exists()
 
     def test_oversized_axis_rejected(self):
         for text in ("1:2e7:1", "1e3:1e6:log2000000"):

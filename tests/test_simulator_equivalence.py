@@ -31,7 +31,7 @@ from qfm import (
 )
 from qfm import circuit, resonator
 from qfm.circuit import _predict_aligned, _resolve_signs, _rising_edges
-from qfm.counting import stop_threshold
+from qfm.counting import Failure, held_crossing, stop_threshold
 
 FIRST = Convention.FIRST_AT_OR_BELOW
 LAST = Convention.LAST_ABOVE
@@ -536,3 +536,131 @@ def test_corner_evaluates_at_most_two_samples_per_cycle_exactly(monkeypatch):
     monkeypatch.setattr(circuit, "_sim_blocks", counted)
     _, trace = simulate_measurement(*CORNER)
     assert 0 < sum(evaluated) <= 2 * len(trace)
+
+
+# ---------------------------------------------------------------------------
+# the run's per-block stop test and its capture formula against the checked
+# entry points they stand in for
+
+
+def record_stop_checks(monkeypatch):
+    """Record each run's stop test: per run V0, the threshold-side
+    arguments and one (block's new held maxima, answer) pair per block."""
+    runs = []
+    original = circuit._stop_check
+
+    def recording(v0, config, divider, comparator):
+        stops = original(v0, config, divider, comparator)
+        blocks = []
+        runs.append((v0, config, divider, comparator, blocks))
+
+        def answer(held):
+            blocks.append((held.copy(), stops(held)))
+            return blocks[-1][1]
+
+        return answer
+
+    monkeypatch.setattr(circuit, "_stop_check", recording)
+    return runs
+
+
+def assert_stops_as_held_crossing(run):
+    # after every block, the answer is held_crossing's over V0 and the
+    # maxima so far, and the run goes on only while it is "no"
+    v0, config, divider, comparator, blocks = run
+    held = [np.array([v0])]
+    for i, (new, stopped) in enumerate(blocks):
+        held.append(new)
+        status = held_crossing(np.concatenate(held), config, divider, comparator).status
+        assert stopped == (status != Failure.UNREACHABLE.value)
+        assert not stopped or i == len(blocks) - 1
+
+
+def run_recorded(args):
+    try:
+        simulate_measurement(*args)
+    except SimulationError:
+        pass
+
+
+@pytest.mark.parametrize("block", [2**14, 64])
+def test_stop_check_answers_as_held_crossing_on_every_block_prefix(monkeypatch, block):
+    # the draws whose record spans at most 300 blocks
+    runs = record_stop_checks(monkeypatch)
+    monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
+    cases = [args for args in map(draw, range(60)) if record_length(*args) <= 300 * block]
+    for args in cases:
+        run_recorded(args)
+    assert len(runs) == len(cases) >= 30
+    for run in runs:
+        assert_stops_as_held_crossing(run)
+    blocks = [len(run[4]) for run in runs]
+    assert max(blocks) > 1 and sum(run[4][-1][1] for run in runs) >= 30
+
+
+def test_stop_check_answers_as_held_crossing_at_ties_and_zero_v0():
+    # maxima at, just above and just below the threshold, and a V0 of 0 V
+    # with every later maximum above the threshold
+    rng = np.random.default_rng(21)
+    for v0 in (0.0, 0.25, 1.0):
+        for divider, comparator in ((0.0, 0.0), (0.01, -0.01), (-0.01, 0.01)):
+            config = MeasurementConfig(float(rng.uniform(1.5, 10.0)), LAST)
+            thr = stop_threshold(v0, config.k, divider, comparator)
+            levels = [thr, np.nextafter(thr, np.inf), np.nextafter(thr, -np.inf), abs(thr) + 1.0, 0.0]
+            for held in [np.full(5, abs(thr) + 1.0)] + [rng.choice(levels, 12) for _ in range(20)]:
+                for j in range(held.size + 1):
+                    stops = circuit._stop_check(v0, config, divider, comparator)(held[:j])
+                    status = held_crossing(np.concatenate(([v0], held[:j])), config, divider, comparator).status
+                    assert stops == (status != Failure.UNREACHABLE.value)
+
+
+def test_stop_check_stops_at_once_without_signal(monkeypatch):
+    runs = record_stop_checks(monkeypatch)
+    run_recorded(PATHOLOGICAL["v0_zero"])
+    [(v0, *_, blocks)] = runs
+    assert not v0 > 0 and [stopped for _, stopped in blocks] == [True]
+    assert_stops_as_held_crossing(runs[0])
+
+
+def test_stop_check_stops_in_the_first_block(monkeypatch):
+    args = NOISELESS
+    _, trace = reference_simulate(*args)
+    stop_sample = round(trace.rows[-1].peak_time * args[3] * args[0].f0)
+    monkeypatch.setattr(resonator, "_SIM_BLOCK", (stop_sample + record_length(*args)) // 2)
+    runs = record_stop_checks(monkeypatch)
+    run_recorded(args)
+    [run] = runs
+    assert [stopped for _, stopped in run[4]] == [True]
+    assert_stops_as_held_crossing(run)
+
+
+# the corner with every detector-side error on: the diode residual two
+# thirds uncancelled (f0 above f_fail), droop, offset and roll-off
+DETECTOR_CORNER = (
+    CORNER[0],
+    CORNER[1],
+    CircuitNonIdealities(
+        opamp_offset=2e-3, leak_droop=10.0, diode_residual=0.08,
+        detector_bandwidth=1e6, f_fail=6e5, noise_rms=1e-4,
+    ),
+    59,
+    0,
+)
+
+
+@pytest.mark.parametrize("case", ["corner", "dipped"])
+def test_captured_column_is_capture_model_of_the_true_maxima(monkeypatch, case):
+    # the dipped record's cycle 0 lies below 0 V: its maximum is floored
+    if case == "corner":
+        args, record = DETECTOR_CORNER, synthesized(DETECTOR_CORNER)
+    else:
+        args, record, block = dipped_record()
+        serve(monkeypatch, record, block)
+    params, _, ni, spp, _ = args
+    _, trace = simulate_measurement(*args)
+    true_peak, captured = trace.rows.columns[2], trace.rows.columns[3]
+    bounds = np.concatenate(([0], reference_edges(record, 4.0 * ni.noise_rms)))
+    holds = np.diff(bounds)[:len(trace)] / (spp * params.f0)
+    expected = capture_model(np.where(true_peak < 0.0, 0.0, true_peak), params.f0, ni, holds)
+    assert captured.tobytes() == expected.tobytes()
+    assert (true_peak[0] < 0) == (case == "dipped") and captured[0] > 0
