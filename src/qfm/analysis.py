@@ -244,6 +244,12 @@ def monte_carlo(
     Bandwidth and failure knee stay fixed.  Trials whose measurement
     cannot complete are counted as failures and excluded from the
     statistics.  Deterministic for a given seed.
+
+    The opamp-offset, leak and diode errors are drawn signed, which
+    ``CircuitNonIdealities``, and so ``simulate_measurement``, refuses:
+    those are magnitudes there, and only the divider and comparator
+    errors take a sign, through ``worst_case_sign``.  So most draws here
+    have no sampled counterpart.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")

@@ -48,11 +48,6 @@ above the band, -1 below, 0 inside) and finds its runs from one
 comparison of neighbours; the held maxima go through
 ``capture_model``'s formula with the gain and diode drop of the run's
 f0, and the stop is one comparison with the threshold formed from V0.
-On a 16,384-sample block of a Q = 20,000 run with noise (2 CPUs, best
-of 2,000 calls) the noise draw takes about 285 us and everything else
-about 170 us: the ring-down table 35, adding the noise 16, the dead
-band 20, the edges 30, the cycle maxima 57 (17 of them the exact
-samples) and capture and stop check 14.
 """
 
 from __future__ import annotations

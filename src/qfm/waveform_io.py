@@ -6,17 +6,15 @@ endings, UTF-8).  Floats are written in their shortest exact form, so a
 synthesize/write/load round trip is bit-identical.  On input, CRLF or CR
 line endings and a UTF-8 byte-order mark are accepted.
 
-The reader streams: past at most one byte-order mark, it decodes the
-file as ASCII with universal newlines and cuts about 64 KiB of whole
-lines at a time with ``str.splitlines``, the grammar's own splitter;
-``np.loadtxt`` parses each piece's lines in one call, without one float
-object per cell.  It is trusted only when it returns ``(n, 2)`` finite
-values; a piece numpy refuses is parsed once more without its
-whitespace-only lines.  Anything else goes to the line parser, which
-reads the whole record again row by row and is the grammar of record:
-it takes what ``float()`` takes (``1_000``, non-ASCII digits) and words
-every error with its line number.  Both stop at ``resonator.MAX_SAMPLES``
-data rows: a longer record is refused before more rows are held.
+The reader makes one pass: it decodes the file as UTF-8 with universal
+newlines and cuts about 64 KiB of whole lines at a time with
+``str.splitlines``, the grammar's own splitter.  ``np.loadtxt`` parses
+each piece in one call, without one float object per cell.  A piece it
+refuses, or returns in another shape or with a non-finite value, goes
+to the line grammar, the grammar of record: it takes what ``float()``
+takes (``1_000``, non-ASCII digits) and words every error with its line
+number.  Reading stops at ``resonator.MAX_SAMPLES`` data rows: a longer
+record is refused before more rows are held.
 
 Peak extraction runs a max/min alternation state machine: a candidate
 maximum is accepted only after the signal falls at least the hysteresis
@@ -37,7 +35,6 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -143,8 +140,19 @@ def load_waveform(source) -> Waveform:
     derived from the median step.
     """
     raw, errors = _byte_stream(source)
-    with raw:
-        t, v = _read_fast(raw) or _read_lines(raw, errors)
+    with io.TextIOWrapper(raw, encoding="utf-8", errors=errors, newline=None) as text:
+        try:
+            try:
+                t, v = _read(text)
+            except WaveformFormatError:
+                while text.read(_READ_BYTES):  # a bad byte further on wins over a row
+                    pass
+                raise
+        except UnicodeDecodeError:
+            end = raw.tell()
+            raw.seek(0)
+            raw.read(end).decode("utf-8", errors)  # again in one call, so at its file offset
+            raise
     if t.size < 3:
         raise WaveformFormatError(
             f"need at least 3 samples to establish a rate, found {t.size}"
@@ -174,14 +182,13 @@ def _byte_stream(source):
     return io.BytesIO(data), "strict"
 
 
-# characters (ASCII, so bytes) per read of the record past its header
+# decoded characters per read of the record
 _READ_BYTES = 1 << 16
 
 
 def _pieces(text):
-    """The lines of ``text``, about _READ_BYTES characters of whole lines
-    at a time; a line longer than one read is gathered in parts and
-    joined once."""
+    """``text`` in pieces of about _READ_BYTES characters of whole lines;
+    a line longer than one read is gathered in parts and joined once."""
     rest = ""
     while True:
         parts = [rest]
@@ -191,112 +198,84 @@ def _pieces(text):
                 break
         data = "".join(parts)
         cut = data.rfind("\n") + 1 if more else len(data)
-        yield data[:cut].splitlines()
+        yield data[:cut]
         if not more:
             return
         rest = data[cut:]
 
 
+def _read(text):
+    """``(t, v)`` of a decoded record, read once, front to back.  A row
+    error or the cap is raised where it is found; a non-finite value only
+    after the last piece, as any of those further on wins over it."""
+    lineno, rows, blocks, bad = 1, 0, [], None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns when a call finds no row
+        for piece in _pieces(text):
+            lines = piece.splitlines()  # the grammar's own splitter
+            if lineno == 1:
+                if not lines:
+                    raise WaveformFormatError("empty file")
+                header = lines[0].lstrip("\ufeff").strip()
+                if header != CSV_HEADER:
+                    raise WaveformFormatError(f"expected header {CSV_HEADER!r}, got {header!r}", line=1)
+                lines[0] = ""  # which both parsers skip
+            # numpy strips a U+001F from a cell, float() does not
+            block = None if "\x1f" in piece else _parse_piece(lines, rows)
+            if block is None:
+                block, first_bad = _parse_lines(lines, lineno, rows)
+                bad = bad or first_bad
+            blocks.append(block)
+            rows += len(block)
+            if rows > MAX_SAMPLES:
+                raise WaveformFormatError(f"the record is over the limit of {MAX_SAMPLES} samples")
+            lineno += len(lines)
+    if bad:
+        raise WaveformFormatError("non-finite value (nan or inf)", line=bad)
+    t = np.concatenate([block[:, 0] for block in blocks])
+    v = np.concatenate([block[:, 1] for block in blocks])
+    return t, v
+
+
 def _parse_piece(lines, rows: int):
     """``np.loadtxt``'s rows of one piece, given the ``rows`` read before
-    it, up to the first row past ``MAX_SAMPLES``; None when numpy cannot
-    take the piece.  numpy refuses a whitespace-only line, which the line
-    parser skips, so a refused piece is parsed once more without them."""
+    it, up to the first row past ``MAX_SAMPLES``; None when numpy refuses
+    the piece (a whitespace-only line, ``1_000``, a non-ASCII digit) or
+    finds another shape or a non-finite value."""
     want = min(len(lines), MAX_SAMPLES + 1 - rows)
     try:
         block = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2, max_rows=want)
     except ValueError:  # numpy's parse errors
-        kept = [line for line in lines if not line.isspace()]
-        return None if len(kept) == len(lines) else _parse_piece(kept, rows)
-    return block if block.shape[1] == 2 or not block.size else None
-
-
-def _read_fast(raw):
-    """``(t, v)`` parsed by ``np.loadtxt``, or None when the line parser
-    must decide: an unusual header or byte, a parse error, another shape
-    or a non-finite cell."""
-    raw.seek(3 if raw.read(3) == "\ufeff".encode() else 0)
-    text = io.TextIOWrapper(raw, encoding="ascii", newline=None)  # CRLF and CR read as LF
-    blocks, rows = [], 0
-    try:
-        header = text.readline().splitlines()
-        if len(header) != 1 or header[0].strip() != CSV_HEADER:
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy warns when a call finds no row
-            for lines in _pieces(text):
-                block = _parse_piece(lines, rows)
-                if block is None:
-                    return None
-                if block.size:
-                    blocks.append(block)
-                rows += len(block)
-                if rows > MAX_SAMPLES:
-                    raise _over_cap()
-    except UnicodeDecodeError:  # a byte the line parser words
         return None
-    finally:
-        text.detach()  # leaves raw open for the line parser
-    if not blocks:
+    if block.size and (block.shape[1] != 2 or not np.isfinite(block).all()):
         return None
-    t = np.concatenate([block[:, 0] for block in blocks])
-    v = np.concatenate([block[:, 1] for block in blocks])
-    if not (np.isfinite(t).all() and np.isfinite(v).all()):
-        return None
-    return t, v
+    return block.reshape(-1, 2)  # numpy shapes no row as (0, 1)
 
 
-def _read_lines(raw, errors):
-    """The record's grammar, row by row, with each error's line number."""
-    raw.seek(0)
-    # decoding it whole reports a bad byte before any row, at its offset
-    text = raw.read().decode("utf-8", errors)
-    lines = _lines(text)
-    header = next(lines, None)
-    if header is None:
-        raise WaveformFormatError("empty file")
-    header = header.lstrip("\ufeff").strip()
-    if header != CSV_HEADER:
-        raise WaveformFormatError(f"expected header {CSV_HEADER!r}, got {header!r}", line=1)
-    times = []
-    volts = []
-    for lineno, line in enumerate(lines, start=2):
+def _parse_lines(lines, lineno: int, rows: int):
+    """One piece's rows by the grammar of record, its first line being
+    line ``lineno`` and ``rows`` rows read before it, up to the first row
+    past ``MAX_SAMPLES``, and the line of its first non-finite value
+    (None if it has none)."""
+    cells, bad = [], None
+    for n, line in enumerate(lines, start=lineno):
         row = line.strip()
         if not row:
             continue
         parts = row.split(",")
         if len(parts) != 2:
-            raise WaveformFormatError(f"expected 2 comma-separated fields, got {len(parts)}", line=lineno)
+            raise WaveformFormatError(f"expected 2 comma-separated fields, got {len(parts)}", line=n)
         try:
             t, v = float(parts[0]), float(parts[1])
         except ValueError:
-            raise WaveformFormatError(f"unparseable number in {row!r}", line=lineno) from None
-        if len(times) == MAX_SAMPLES:
-            raise _over_cap()
-        times.append(t)
-        volts.append(v)
-    t, v = np.array(times), np.array(volts)
-    del times, volts  # the float lists take four times the arrays' memory
-    finite = np.isfinite(t) & np.isfinite(v)
-    if not finite.all():
-        data_lines = (n for n, line in enumerate(_lines(text), start=1) if n > 1 and line.strip())
-        bad = next(islice(data_lines, int(np.argmin(finite)), None))
-        raise WaveformFormatError("non-finite value (nan or inf)", line=bad)
-    return t, v
-
-
-def _lines(text):
-    """``text.splitlines()``, cut after the first LF past each megabyte."""
-    start = 0
-    while start < len(text):
-        # a cut just after a LF splits no line and no CRLF
-        end = text.find("\n", start + (1 << 20)) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
-
-
-def _over_cap() -> WaveformFormatError:
-    return WaveformFormatError(f"the record is over the limit of {MAX_SAMPLES} samples")
+            raise WaveformFormatError(f"unparseable number in {row!r}", line=n) from None
+        if bad is None and not (math.isfinite(t) and math.isfinite(v)):
+            bad = n
+        cells += t, v
+        rows += 1
+        if rows > MAX_SAMPLES:
+            break
+    return np.array(cells).reshape(-1, 2), bad
 
 
 _SEEK_MAX, _SEEK_MIN = 0, 1

@@ -51,7 +51,9 @@ FIRST = Convention.FIRST_AT_OR_BELOW
 LAST = Convention.LAST_ABOVE
 
 
-def reference_load_waveform(source) -> Waveform:
+def reference_load_waveform(source, cap=None) -> Waveform:
+    """The whole-text reader; with a ``cap``, row cap + 1 is refused once
+    it has been parsed."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
     else:
@@ -74,10 +76,13 @@ def reference_load_waveform(source) -> Waveform:
         if len(parts) != 2:
             raise WaveformFormatError(f"expected 2 comma-separated fields, got {len(parts)}", line=lineno)
         try:
-            times.append(float(parts[0]))
-            volts.append(float(parts[1]))
+            t, v = float(parts[0]), float(parts[1])
         except ValueError:
             raise WaveformFormatError(f"unparseable number in {row!r}", line=lineno) from None
+        if len(times) == cap:
+            raise WaveformFormatError(f"the record is over the limit of {cap} samples")
+        times.append(t)
+        volts.append(v)
     t, v = np.array(times), np.array(volts)
     finite = np.isfinite(t) & np.isfinite(v)
     if not finite.all():
@@ -158,16 +163,45 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
-def assert_same_load(source):
+def assert_same_load(source, cap=None):
     """load_waveform and the whole-text reader agree on a fresh source."""
     new = outcome(load_waveform, source())
-    old = outcome(reference_load_waveform, source())
+    old = outcome(reference_load_waveform, source(), cap=cap)
     if old[0] != "ok":
         assert new == old
         return
     assert new[0] == "ok"
     assert new[1].sample_rate == old[1].sample_rate and new[1].start_time == old[1].start_time
     assert np.array_equal(new[1].samples, old[1].samples)
+
+
+def line_grammar_only():
+    """Sends every piece to the line grammar, none to numpy."""
+    return mock.patch.object(waveform_io, "_parse_piece", lambda lines, rows: None)
+
+
+def assert_same_columns(text):
+    """The reader's ``(t, v)`` columns of ``text``, before any check on
+    them, are the line grammar's."""
+
+    def columns():
+        with io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=None) as stream:
+            return outcome(waveform_io._read, stream)
+
+    new = columns()
+    with line_grammar_only():
+        old = columns()
+    assert new[0] == old[0] == "ok"
+    assert all(np.array_equal(a, b) for a, b in zip(new[1], old[1]))
+
+
+def no_line_grammar():
+    """Fails a load that sends any piece to the line grammar."""
+
+    def refuse(lines, lineno, rows):
+        raise AssertionError(f"line {lineno} went to the line grammar")
+
+    return mock.patch.object(waveform_io, "_parse_lines", refuse)
 
 
 def synth(q=300.0, f0=50e3, rate=5e6, periods=None, noise=0.0, seed=0, v0=1.0):
@@ -295,15 +329,9 @@ class TestStreamedReader:
     @given(text=csv_records(), read_bytes=st.sampled_from([1, 2, 1 << 16]), cap=st.sampled_from([3, 5, 2**24]))
     def test_fast_path_agrees_with_line_parser(self, text, read_bytes, cap):
         with mock.patch.object(waveform_io, "_READ_BYTES", read_bytes), mock.patch.object(waveform_io, "MAX_SAMPLES", cap):
-            raw = io.BytesIO(text.encode())
-            fast = outcome(waveform_io._read_fast, raw)
-            slow = outcome(waveform_io._read_lines, raw, "strict")
-        if fast[0] != "ok":
-            assert fast == slow  # the cap, with the same message
-        elif fast[1] is not None:
-            assert slow[0] == "ok"
-            for a, b in zip(fast[1], slow[1]):
-                assert np.array_equal(a, b)
+            assert_same_load(lambda: io.BytesIO(text.encode()), cap=cap)
+            with line_grammar_only():
+                assert_same_load(lambda: io.BytesIO(text.encode()), cap=cap)
 
     @pytest.mark.parametrize("read_bytes", [1, 2, 1 << 16])
     def test_a_blank_line_at_the_cap_keeps_every_row(self, monkeypatch, read_bytes):
@@ -311,12 +339,12 @@ class TestStreamedReader:
         monkeypatch.setattr(waveform_io, "MAX_SAMPLES", 3)
         monkeypatch.setattr(waveform_io, "_READ_BYTES", read_bytes)
         text = "t,v\n0.0,0.0\n1e-07,0.0\n2e-07,0.0\n   \n"
-        t, v = waveform_io._read_fast(io.BytesIO(text.encode()))
-        assert t.tolist() == [0.0, 1e-07, 2e-07] and v.tolist() == [0.0] * 3
+        w = load_waveform(io.StringIO(text))
+        assert w.times().tolist() == [0.0, 1e-07, 2e-07] and w.samples.tolist() == [0.0] * 3
         # and a fourth row past a blank line is refused, not dropped
         over = "t,v\n0.0,0.0\n   \n1e-07,0.0\n2e-07,0.0\n3e-07,0.0\n"
         with pytest.raises(WaveformFormatError, match="over the limit of 3 samples"):
-            waveform_io._read_fast(io.BytesIO(over.encode()))
+            load_waveform(io.StringIO(over))
 
     def test_fast_path_takes_written_records(self):
         _, w = synth(periods=20, noise=1e-4, seed=3)
@@ -324,8 +352,9 @@ class TestStreamedReader:
         waveform_to_csv(w, buf)
         lf = buf.getvalue()
         for text in (lf, "\ufeff" + lf.replace("\n", "\r\n"), lf.replace("\n", "\r")):
-            t, v = waveform_io._read_fast(io.BytesIO(text.encode()))
-            assert np.array_equal(v, w.samples) and np.array_equal(t, w.times())
+            with no_line_grammar():
+                assert_same_load(lambda: io.BytesIO(text.encode()))
+                assert np.array_equal(load_waveform(io.BytesIO(text.encode())).samples, w.samples)
 
     @pytest.mark.parametrize(
         "text",
@@ -333,11 +362,13 @@ class TestStreamedReader:
             "t,v\n0,1\n1_000,2\n",
             "t,v\n0,\u0661\n1,2\n2,3\n",
             "t,v\n0,1\n1,nan\n2,3\n",
+            pytest.param("t,v\n0,1\n1\x1f,2\n2,3\n", id="US"),  # numpy strips U+001F from a cell, float() does not
         ],
     )
     def test_line_parser_decides_unusual_records(self, text):
-        assert waveform_io._read_fast(io.BytesIO(text.encode())) is None
         assert_same_load(lambda: io.StringIO(text))
+        with no_line_grammar(), pytest.raises(AssertionError, match="line 1 went to the line grammar"):
+            load_waveform(io.StringIO(text))
 
     @pytest.mark.parametrize(
         "text",
@@ -349,11 +380,8 @@ class TestStreamedReader:
             pytest.param("t,v\n0,1\n1,2\x0c3,4\n2,5\n", id="FF"),  # a form feed splits a line
         ],
     )
-    def test_whitespace_only_lines_stay_on_the_fast_path(self, text):
-        fast = waveform_io._read_fast(io.BytesIO(text.encode()))
-        slow = waveform_io._read_lines(io.BytesIO(text.encode()), "strict")
-        assert fast is not None
-        assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
+    def test_whitespace_only_lines_are_skipped(self, text):
+        assert_same_columns(text)
         assert_same_load(lambda: io.StringIO(text))
 
     @settings(max_examples=300, deadline=None)
@@ -370,23 +398,16 @@ class TestStreamedReader:
         rows = [f"{i}," + r.split(",")[1] if "," in r else r for i, r in enumerate(rows)]
         text = "t,v" + ending + ending.join(rows)
         with mock.patch.object(waveform_io, "_READ_BYTES", read_bytes):
-            fast = outcome(waveform_io._read_fast, io.BytesIO(text.encode()))
-        slow = outcome(waveform_io._read_lines, io.BytesIO(text.encode()), "strict")
-        assert slow[0] == "ok"
-        if any("," in r for r in rows):  # numpy finds no row in an all-blank record
-            assert fast[0] == "ok" and fast[1] is not None
-            assert all(np.array_equal(a, b) for a, b in zip(fast[1], slow[1]))
+            assert_same_columns(text)
+            assert_same_load(lambda: io.BytesIO(text.encode()))
 
     @settings(max_examples=300, deadline=None)
     @given(text=csv_records(), read_bytes=st.sampled_from([1, 2, 3, 7]))
     def test_any_read_size_agrees_with_line_parser(self, text, read_bytes):
-        raw = io.BytesIO(text.encode())
         with mock.patch.object(waveform_io, "_READ_BYTES", read_bytes):
-            fast = outcome(waveform_io._read_fast, raw)
-        slow = outcome(waveform_io._read_lines, raw, "strict")
-        if fast[1] is not None:
-            assert fast[0] == slow[0] == "ok"
-            assert all(np.array_equal(a, b) for a, b in zip(fast[1], slow[1]))
+            assert_same_load(lambda: io.BytesIO(text.encode()))
+            with line_grammar_only():
+                assert_same_load(lambda: io.BytesIO(text.encode()))
 
     def test_a_blank_line_costs_little(self, tmp_path):
         # the same 250,000-sample record with and without a trailing blank line
@@ -456,15 +477,23 @@ class TestStreamedReader:
         w = synth_waveform(params, 2.5e6, 0.1, noise_rms=1e-3, seed=1)
         path = tmp_path / "wave.csv"
         waveform_to_csv(w, path)
-        for ending in (b"\n", b"\r"):
-            path.write_bytes(path.read_bytes().replace(b"\n", ending))
+        lf = path.read_bytes()
+        lines = lf.split(b"\n")  # row i is on line i + 2
+        t, v = lines[5_001].split(b",")
+        grouped = lines[:5_001] + [t + b"," + v[:3] + b"_" + v[3:]] + lines[5_002:]  # numpy refuses 0.8_55...
+        nan = lines[:200_001] + [lines[200_001].split(b",")[0] + b",nan"] + lines[200_002:]
+        for data in (lf, lf.replace(b"\n", b"\r"), b"\n".join(grouped), b"\n".join(nan)):
+            path.write_bytes(data)
             tracemalloc.start()
             try:
-                loaded = load_waveform(path)
+                loaded = outcome(load_waveform, path)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(loaded) == 250_000
+            if b"nan" in data:
+                assert loaded == (WaveformFormatError, "line 200002: non-finite value (nan or inf)", 200_002)
+            else:
+                assert np.array_equal(loaded[1].samples, w.samples)
             assert peak < 48.9e6 / 2
 
 
