@@ -373,7 +373,7 @@ class TestStreamedReader:
     @pytest.mark.parametrize(
         "text",
         [
-            "t,v\n0,1\n  \n1,2\n2,3\n",
+            pytest.param("t,v\n0,1\n  \n1,2\n2,3\n", id="spaces"),
             "t,v\n \t\x1f\n0,1\n1,2\n\n\t\n2,3\n   ",
             "\ufefft,v\r\n0,1\r\n \r\n1,2\r \r2,3\r\n\t",
             "t,v\n5,1\n 6 , 2\n\t7,3\x1f\n",
