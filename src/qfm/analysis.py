@@ -13,6 +13,8 @@ Three views of the error budget:
 
 Every closed-form count here is one call of the crossing kernel in
 ``counting`` over a grid: (corner x Q) per k for ``worst_case_sweep``,
+whose exhaustive search evaluates the two extreme sign corners over Q
+and the whole sign box only over the Q cells they leave open,
 (corner x a block of Q) per k for ``optimal_k``, whose block envelopes
 are built once for all k and which stops scoring a k at the first block
 after which it cannot win, and a block of trials for ``monte_carlo``.
@@ -47,6 +49,7 @@ from .counting import (
     error_table,
     expand_range,
     first_crossing,
+    q_from_count,
 )
 from .resonator import ResonatorParams, check_f0_v0
 from .tables import SweepTable
@@ -64,6 +67,13 @@ _MC_BLOCK = 8192
 # Q points per kernel call in optimal_k, the unit of its early exit
 _Q_BLOCK = 1024
 _ALIGNED_CORNERS = ((1.0, 1.0, 1.0, 1.0, 1.0), (-1.0, -1.0, 1.0, 1.0, 1.0))
+# the sign corner with the largest crossing index (divider +, comparator -,
+# opamp +, leak -, diode -) and its mirror, with the smallest
+_EXTREME_CORNERS = ((1.0, -1.0, 1.0, -1.0, -1.0), (-1.0, 1.0, -1.0, 1.0, 1.0))
+# twice a bound on how far rounding can move two corners' differences
+# between a held maximum and the threshold, in units of the largest term
+# of either (see _extremes_settle)
+_ROUNDING = 64 * 2.0**-53
 
 
 def _corner_signs(exhaustive: bool):
@@ -72,20 +82,29 @@ def _corner_signs(exhaustive: bool):
     The aligned pair flips only the threshold-side sources, matching the
     worst-case alignment convention; the exhaustive search covers every
     corner of the five-dimensional sign box and is the envelope that
-    provably dominates independent draws.
+    provably dominates independent draws.  ``worst_case_sweep`` reads
+    the box's worst corner off its two extreme corners
+    (``_EXTREME_CORNERS``) and evaluates all 32 only where they leave it
+    open.
     """
     return tuple(itertools.product((-1.0, 1.0), repeat=5)) if exhaustive else _ALIGNED_CORNERS
 
 
-def _crossings(qs, ni: CircuitNonIdealities, f0: float, v0: float, signs):
-    """first_crossing over the envelope of ``qs`` at f0, as a function of
-    k, the convention and the shortcut.  Each row of ``signs`` scales the
-    five (divider, comparator, opamp, leak, diode) magnitudes: +/-1 at
-    the sign corners, a random draw in Monte Carlo.  Rows run along
-    axis 0 of the result, Q along axis 1."""
+def _corner_model(qs, ni: CircuitNonIdealities, f0: float, v0: float, signs):
+    """The detector envelope of ``qs`` at f0 and the signed divider and
+    comparator errors, for each row of ``signs``, which scales the five
+    (divider, comparator, opamp, leak, diode) magnitudes: +/-1 at the
+    sign corners, a random draw in Monte Carlo.  Rows run along axis 0,
+    Q along axis 1."""
     mags = (ni.divider_error, ni.comparator_offset, ni.opamp_offset, ni.leak_droop, ni.diode_residual)
     divider, comparator, opamp, leak, diode = (np.asarray(signs) * np.array(mags)).T[:, :, None]
-    env = detector_envelope(qs, f0, v0, ni, opamp, leak, diode)
+    return detector_envelope(qs, f0, v0, ni, opamp, leak, diode), divider, comparator
+
+
+def _crossings(qs, ni: CircuitNonIdealities, f0: float, v0: float, signs):
+    """first_crossing over ``_corner_model(qs, ni, f0, v0, signs)``, as a
+    function of k, the convention and the shortcut."""
+    env, divider, comparator = _corner_model(qs, ni, f0, v0, signs)
     return lambda k, convention, shortcut=False: first_crossing(
         env, k, convention, shortcut, divider, comparator
     )
@@ -104,9 +123,24 @@ def worst_case_sweep(
 
     Each cell evaluates the closed-form measurement at the aligned sign
     corners (all corners of the sign box with ``exhaustive=True``) and
-    reports the corner with the largest absolute error, signed.  Cells
-    where every corner fails to complete are recorded with NA markers.
-    One kernel call per k covers the (corner x Q) grid.
+    reports the corner with the largest absolute error, signed, the
+    first such corner on ties.  Cells where every corner fails to
+    complete are recorded with NA markers.  One kernel call per k covers
+    the (corner x Q) grid.
+
+    The exhaustive search starts from two corners per k.  The crossing
+    index m* rises with the divider error, which lowers the threshold
+    V0/(k (1 + d)) + c, and falls as the comparator offset c raises it;
+    while k (1 + d) >= 1 it rises with the opamp offset and falls with
+    the drop (leak and diode), which move a held maximum more than the
+    threshold, and where k (1 + d) < 1 the count-minimising corner stops
+    at m* = 1.  So wherever both extreme corners complete, every
+    completing corner's count lies between theirs, and since |error|
+    falls and then rises with the count, the worse of the two is the
+    box's worst.  All 32 corners are evaluated over the Q cells of a k
+    where either extreme corner fails, where their |errors| tie at
+    different counts, or where rounding could break the argument (see
+    ``_extremes_settle``).
     """
     check_f0_v0(f0, v0)
     ks = check_k(list(k_values))
@@ -114,9 +148,61 @@ def worst_case_sweep(
     corners = _corner_signs(exhaustive)
     check_grid_size(ks.size * qs.size, f"the {ks.size} k x {qs.size} Q grid")
     check_grid_size(len(corners) * qs.size, f"the {len(corners)} corner x {qs.size} Q grid")
-    crossings = _crossings(qs, ni, f0, v0, corners)
-    worst = [_worst_corner(crossings(k, convention)) for k in ks]
+    if exhaustive:
+        worst = _box_worst(ks, qs, ni, f0, v0, convention)
+    else:
+        crossings = _crossings(qs, ni, f0, v0, corners)
+        worst = [_worst_corner(crossings(k, convention)) for k in ks]
     return error_table(ks, qs, *(np.stack(column) for column in zip(*worst)))
+
+
+def _box_worst(ks, qs, ni, f0, v0, convention):
+    """``_worst_corner`` over the whole sign box, for each k: the extreme
+    corners' answer where they settle it, the box's over the rest."""
+    env, divider, comparator = _corner_model(qs, ni, f0, v0, _EXTREME_CORNERS)
+    # the largest term of any corner's held maxima
+    top = env.v0 * env.gain + np.abs(env.drop[0]) + ni.opamp_offset
+    for k in ks:
+        c = first_crossing(env, k, convention, False, divider, comparator)
+        n, q, error, settled = _extremes_settle(env, c, k, top, ni)
+        valid = settled.copy()
+        if not settled.all():
+            cells = ~settled
+            box = _crossings(qs[cells], ni, f0, v0, _corner_signs(True))(k, convention)
+            n[cells], q[cells], error[cells], valid[cells] = _worst_corner(box)
+        yield n, q, error, valid
+
+
+def _extremes_settle(env, c, k, top, ni):
+    """(n, q, error) of the worse of the count-maximising and the
+    count-minimising corner, rows 0 and 1 of the crossing ``c`` over
+    ``env``, and where that is the answer of the whole sign box.
+
+    It is where both complete and either their counts agree or one
+    |error| is the larger and the count next to it, toward the other
+    corner's, has a different error (counts that far apart round to one
+    Q), and where rounding cannot reorder any corner against them: the
+    count-maximising corner's crossing maximum is below its threshold,
+    and the count-minimising corner's maximum before its crossing (if
+    any) above it, by more than ``_ROUNDING`` times the largest term.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        up, down = np.abs(c.error)
+        down_wins = down > up
+        n, q, error = (np.where(down_wins, a[1], a[0]) for a in (c.n, c.q, c.error))
+        toward = np.maximum(np.where(down_wins, n + 1, n - 1), 1)
+        next_error = (q_from_count(toward, k) - env.q) / env.q
+        m_up, m_down = c.m
+        gap = env.captured(np.stack((m_up, np.maximum(m_down - 1, 0)))) - c.threshold
+        # a corner's threshold is at most its V0 over k (1 - |divider error|)
+        slack = _ROUNDING * (top * (1.0 + 1.0 / (k * (1.0 - ni.divider_error))) + ni.comparator_offset)
+        settled = (
+            c.valid.all(axis=0)
+            & ((c.n[0] == c.n[1]) | ((up != down) & (next_error != error)))
+            & (gap[0] < -slack)
+            & ((m_down == 1) | (gap[1] > slack))
+        )
+    return n, q, error, settled
 
 
 def _worst_corner(c):

@@ -537,7 +537,10 @@ def simulate_measurement(
     cycle = (0, -math.inf, 0)  # the open cycle: start, maximum, first index at it
     peaks, firsts, captured = [], [], []  # per block, of the cycles it closed
     offset = 0
-    for block in _sim_blocks(params, sample_rate, n_samples, ni.noise_rms, noise_seed):
+    # a hysteresis past the float range swallows any ring-down, and its
+    # noise samples may overflow: no block can fire the clock
+    blocks = _sim_blocks(params, sample_rate, n_samples, ni.noise_rms, noise_seed)
+    for block in blocks if hysteresis < math.inf else ():
         cycles, cycle, held = _clock_block(block, hysteresis, held, offset, cycle)
         offset += block.ring.size
         if cycles is None:

@@ -185,10 +185,16 @@ class Envelope:
         self.q = np.asarray(q, dtype=float)
         self.v0, self.gain = v0, gain
         w0 = 2.0 * math.pi * f0
-        self.alpha = w0 / (2.0 * self.q)
-        with np.errstate(over="ignore"):  # 4 q^2 past the float range: T's limit 2 pi / w0
-            self.period = 2.0 * math.pi / (w0 * np.sqrt(1.0 - 1.0 / (4.0 * self.q * self.q)))
-        self.drop = diode * diode_ramp + leak * self.period
+        # past the float range 2 q gives alpha its limit 0, 4 q^2 gives T
+        # its limit 2 pi / w0, and a drop overflows to inf
+        with np.errstate(over="ignore"):
+            self.alpha = w0 / (2.0 * self.q)
+            period = 2.0 * math.pi / (w0 * np.sqrt(1.0 - 1.0 / (4.0 * self.q * self.q)))
+            # a T of 0 or inf (f0 at an end of the float range) makes the
+            # maxima's exponent 0 * inf: NaN it here, where it raises no
+            # invalid-operation warning, and the count is COUNT_RANGE
+            self.period = np.where((period > 0.0) & (period < math.inf), period, math.nan)
+            self.drop = diode * diode_ramp + leak * self.period
         self.opamp = np.asarray(opamp, dtype=float)
         self.v0_captured = self.captured(0)
 

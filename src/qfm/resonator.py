@@ -281,7 +281,9 @@ def _sim_blocks(params: ResonatorParams, sample_rate: float, n: int, noise_rms: 
         np.matmul(ab[:r], pq, out=ring[:r])
         noise = rng.normal(0.0, noise_rms, size) if rng is not None else None
         end_phase = omega_d * (offset + r * _SIM_ROW) / sample_rate
-        eps = amp[0] * (1.0 + c) * (16.0 * (1.0 + c) * end_phase + 512.0) * 2.0**-52 + floor
+        # the amplitude multiplies last, so a v0 near the float range's
+        # top gives a bound, not an overflow
+        eps = amp[0] * ((1.0 + c) * (16.0 * (1.0 + c) * end_phase + 512.0) * 2.0**-52) + floor
         yield _SimBlock(
             ring[:r].reshape(-1)[:size], noise, eps,
             partial(_exact_samples, constants, sample_rate, offset, noise),

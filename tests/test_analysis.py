@@ -2,10 +2,14 @@
 division factor, frequency regimes, and Monte Carlo containment."""
 
 import dataclasses
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfm.analysis
 from qfm import (
@@ -27,7 +31,7 @@ from qfm import (
 )
 from qfm.analysis import _Q_BLOCK
 from qfm.circuit import detector_envelope
-from qfm.counting import check_grid_size, check_k, expand_range
+from qfm.counting import check_grid_size, check_k, error_table, expand_range
 
 LAST = Convention.LAST_ABOVE
 IDEAL = CircuitNonIdealities()
@@ -115,6 +119,181 @@ class TestWorstCaseSweep:
         assert all(r[2] is None for r in table.rows)
         assert "NA,NA,NA" in table.to_csv_string()
         assert "nan" not in table.to_csv_string()
+
+
+# the 32 sign corners (divider, comparator, opamp, leak, diode) in the
+# order of the exhaustive search, and the rows of its two extreme corners
+BOX = np.array(list(itertools.product((-1.0, 1.0), repeat=5)))
+UP, DOWN = 20, 11  # largest and smallest crossing index
+FIRST = Convention.FIRST_AT_OR_BELOW
+
+
+def box_crossings(qs, ni, f0, k, v0=1.0, convention=LAST):
+    """The kernel's crossing at every corner of the sign box (axis 0)."""
+    mags = np.array([ni.divider_error, ni.comparator_offset, ni.opamp_offset, ni.leak_droop, ni.diode_residual])
+    divider, comparator, opamp, leak, diode = (BOX * mags).T[:, :, None]
+    env = detector_envelope(qs, f0, v0, ni, opamp, leak, diode)
+    return first_crossing(env, k, convention, False, divider, comparator)
+
+
+def reference_exhaustive_sweep(k_values, q_range, ni, f0, v0=1.0, convention=LAST):
+    """worst_case_sweep(exhaustive=True) as it was before it started from
+    the extreme corners: per k, all 32 corners over every Q, and per cell
+    the completing corner with the largest |error|, the first on ties."""
+    ks = check_k(list(k_values))
+    qs = expand_range(q_range)
+    columns = []
+    for k in ks:
+        c = box_crossings(qs, ni, f0, k, v0, convention)
+        pick = np.argmax(np.where(c.valid, np.abs(c.error), -1.0), axis=0)[None]
+        worst = [np.take_along_axis(a, pick, axis=0)[0] for a in (c.n, c.q, c.error)]
+        columns.append((*worst, c.valid.any(axis=0)))
+    return error_table(ks, qs, *(np.stack(column) for column in zip(*columns)))
+
+
+def log_floats(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def magnitude(hi):
+    return st.one_of(st.just(0.0), log_floats(hi * 1e-6, hi))
+
+
+budgets = st.builds(
+    CircuitNonIdealities,
+    comparator_offset=magnitude(0.5),
+    divider_error=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+    opamp_offset=magnitude(0.5),
+    leak_droop=magnitude(1e4),
+    diode_residual=magnitude(0.5),
+    f_fail=log_floats(1e3, 1e7),
+    detector_bandwidth=st.one_of(st.just(math.inf), log_floats(1e4, 1e8)),
+)
+
+
+@st.composite
+def q_ranges(draw, q_max):
+    lo = draw(log_floats(0.51, q_max))
+    step = lo * draw(log_floats(1e-6, 0.2))
+    return (lo, lo + draw(st.integers(0, 15)) * step, step)
+
+
+class TestExhaustiveFromExtremeCorners:
+    """The exhaustive sweep reads each cell off the two extreme corners
+    and searches the whole sign box only where they leave it open; its
+    CSV is the full search's, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ni=budgets,
+        ks=st.lists(log_floats(1e-6, 29.0).map(lambda x: 1.0 + x), min_size=1, max_size=3, unique=True),
+        q_range=q_ranges(1e17),
+        f0=log_floats(10.0, 10e6),
+        v0=log_floats(0.01, 10.0),
+        convention=st.sampled_from(list(Convention)),
+    )
+    def test_same_bytes_as_the_full_box_search(self, ni, ks, q_range, f0, v0, convention):
+        got = worst_case_sweep(ks, q_range, ni, f0, v0, convention, exhaustive=True)
+        expected = reference_exhaustive_sweep(ks, q_range, ni, f0, v0, convention)
+        assert got.to_csv_string() == expected.to_csv_string()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ni=budgets,
+        k=log_floats(1e-6, 29.0).map(lambda x: 1.0 + x),
+        q_range=q_ranges(1e6),
+        f0=log_floats(10.0, 10e6),
+        convention=st.sampled_from(list(Convention)),
+    )
+    def test_completing_corners_cross_between_the_extremes(self, ni, k, q_range, f0, convention):
+        c = box_crossings(expand_range(q_range), ni, f0, k, convention=convention)
+        both = c.valid[UP] & c.valid[DOWN]
+        inside = (c.m[DOWN] <= c.m) & (c.m <= c.m[UP])
+        assert np.all(inside | ~c.valid | ~both)
+
+    def test_pinned_fallback_case(self):
+        # the count-maximising corner never reaches its threshold here,
+        # so every cell takes the full search; digest of the parent's CSV
+        ni = CircuitNonIdealities(
+            comparator_offset=10e-3, divider_error=0.01, opamp_offset=30e-3, leak_droop=15.0, diode_residual=0.08
+        )
+        c = box_crossings(expand_range((50.0, 60.0, 1.0)), ni, 2e6, 10.0)
+        assert np.all(c.status[UP] == 4)  # Failure.UNREACHABLE
+        assert np.all(c.valid.sum(axis=0) == 28)
+        table = worst_case_sweep([10.0], (50.0, 60.0, 1.0), ni, f0=2e6, exhaustive=True)
+        digest = hashlib.sha256(table.to_csv_string().encode()).hexdigest()
+        assert digest == "8c685f58a4e8c49197011ab4f76cfb093f9797f7fba620b3073b9e4686125d39"
+
+    def test_all_na(self):
+        # a comparator offset over V0 drives the threshold below zero at
+        # its minus corners and over V0 at its plus corners, where
+        # last_above counts no decay
+        ni = CircuitNonIdealities(comparator_offset=2.0, opamp_offset=0.01, leak_droop=1.0)
+        table = worst_case_sweep([4.0, 6.0], (100.0, 102.0, 1.0), ni, f0=F0, exhaustive=True)
+        text = table.to_csv_string()
+        assert len(table) == 6 and text.count("NA,NA,NA") == 6
+        assert text == reference_exhaustive_sweep([4.0, 6.0], (100.0, 102.0, 1.0), ni, F0).to_csv_string()
+
+    def test_box_searched_only_where_an_extreme_corner_fails(self, monkeypatch):
+        # low Q leaves the count-minimising corner no decay (last_above);
+        # over the CLI's default grid both extremes complete everywhere
+        ni = pessimistic_nonidealities()
+        ks, q_range = [1.5, 2.0, 6.0], (1.0, 30.0, 1.0)
+        qs = expand_range(q_range)
+        failing = []
+        for k in ks:
+            c = box_crossings(qs, ni, F0, k)
+            failing.append((k, qs[~(c.valid[UP] & c.valid[DOWN])].tolist()))
+        assert [len(q) for _, q in failing] == [8, 4, 1]
+
+        searched = []
+
+        def spy(env, k, *args):
+            c = first_crossing(env, k, *args)
+            if c.m.shape[0] == BOX.shape[0]:
+                searched.append((k, env.q.tolist()))
+            return c
+
+        monkeypatch.setattr(qfm.analysis, "first_crossing", spy)
+        table = worst_case_sweep(ks, q_range, ni, f0=F0, exhaustive=True)
+        assert searched == failing
+        assert table.to_csv_string() == reference_exhaustive_sweep(ks, q_range, ni, F0).to_csv_string()
+        searched.clear()
+        worst_case_sweep(np.arange(4.0, 8.01, 0.25), (100.0, 1000.0, 1.0), ni, f0=F0, exhaustive=True)
+        assert searched == []
+
+    def test_rounding_that_reorders_corners_opens_the_cells(self):
+        # near Q = 2e16 a maximum falls by a few ulps and k (1 + d) is
+        # within 1.2e-5 of 1, so rounding, not the signs, orders the
+        # corners' crossings: some completing corner crosses outside the
+        # extremes' range, and the sweep must search the box
+        ni = CircuitNonIdealities(
+            comparator_offset=1.3166927545899078e-10, divider_error=3.7930679282390875e-11,
+            opamp_offset=6.916770890730877e-14, leak_droop=7.22742106394047e-16,
+            diode_residual=2.6004267791435807e-11,
+        )
+        q_range, k = (2.0500829703608824e16, 2.0500830523642012e16, 20500829.703608826), 1.0000116016855212
+        c = box_crossings(expand_range(q_range), ni, 1e3, k, convention=FIRST)
+        assert np.any(c.valid & ((c.m > c.m[UP]) | (c.m < c.m[DOWN])))
+        got = worst_case_sweep([k], q_range, ni, 1e3, convention=FIRST, exhaustive=True)
+        assert got.to_csv_string() == reference_exhaustive_sweep([k], q_range, ni, 1e3, convention=FIRST).to_csv_string()
+
+    def test_counts_that_round_to_one_q_open_the_cells(self):
+        # past 2^53 neighbouring counts convert to one float, so a corner
+        # between the extremes can tie the worse one's |error| at another
+        # count, and the first corner on the tie is the full search's
+        ni = CircuitNonIdealities(
+            comparator_offset=1.848247106936549e-17, divider_error=2.3836358862480845e-16,
+            opamp_offset=5.262534158297095e-16, leak_droop=7.315572574967392e-14,
+            diode_residual=1.7738927915705734e-15,
+        )
+        q_range, k = (1.0416676725644796e16, 1.0416677142311864e16, 10416676.725644797), 8.76691999464166
+        c = box_crossings(expand_range(q_range), ni, 1e3, k, convention=FIRST)
+        worse = np.where(np.abs(c.error[DOWN]) > np.abs(c.error[UP]), c.n[DOWN], c.n[UP])
+        expected = reference_exhaustive_sweep([k], q_range, ni, 1e3, convention=FIRST)
+        assert np.any(expected.column("n") != worse)
+        got = worst_case_sweep([k], q_range, ni, 1e3, convention=FIRST, exhaustive=True)
+        assert got.to_csv_string() == expected.to_csv_string()
 
 
 class TestSweepGridLimit:

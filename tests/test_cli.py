@@ -604,6 +604,21 @@ class TestNonFiniteInput:
             # 4 q^2 overflows in the envelope's period, whose limit is 2 pi / w0
             (("sweep", "theoretical", "--q", "2e154:3e154:1e154"), 0),
             (("simulate", "--q", "2e154"), 2),
+            # a pseudo-period of inf (f0 = 5e-324) or 0 (w0 overflows)
+            # leaves no count; so does a drop that overflows
+            (("sweep", "worstcase", "--k", "6", "--q", "100:101:1", "--f0", "5e-324"), 0),
+            (("sweep", "worstcase", "--k", "6", "--q", "100:101:1", "--f0", "1.7e308"), 0),
+            (("sweep", "worstcase", "--k", "6", "--q", "100:101:1", "--f0", "1e-300", "--leak", "1e300"), 0),
+            (("simulate", "--f0", "5e-324"), 2),
+            (("simulate", "--f0", "1.7e308"), 2),
+            # 2 q overflows in the decay rate, whose limit is 0: no decay
+            (("simulate", "--q", "1.7e308"), 2),
+            (("sweep", "frequency", "--f0", "1kHz,10kHz", "--q", "1.7e308"), 2),
+            # a hysteresis of 4 x noise past the float range never fires the clock
+            (("simulate", "--noise", "1.7e308"), 3),
+            (("simulate", "--noise", "1e308"), 3),
+            (("simulate", "--noise", "4e307"), 3),
+            (("sweep", "frequency", "--f0", "1kHz,10kHz", "--noise", "1.7e308"), 0),
         ],
     )
     def test_huge_finite_input_ends_in_its_exit_code(self, capsys, tmp_path, argv, code):
@@ -613,9 +628,22 @@ class TestNonFiniteInput:
         got, out, err = run(capsys, *argv)
         assert got == code
         assert err.count("\n") == (code != 0) and "Traceback" not in err
-        if argv[0] == "sweep":  # every cell of the table is NA
+        if argv[0] == "sweep" and code == 0:  # every cell of the table is NA
             fields = record_fields(out.strip())
             assert fields["na"] == fields["rows"] and out_csv.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate", "--v0", "1.7e308"), ("sweep", "frequency", "--f0", "1kHz,10kHz", "--v0", "1.7e308")],
+    )
+    def test_huge_v0_completes(self, capsys, tmp_path, argv):
+        # the simulator's error bound on its approximate samples stays finite
+        if argv[0] == "sweep":
+            argv += ("--out", str(tmp_path / "out.csv"))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert record_fields(out.strip()).get("na", "0") == "0"
 
     def test_oversized_axis_rejected(self):
         for text in ("1:2e7:1", "1e3:1e6:log2000000"):

@@ -23,13 +23,12 @@ FIRST = Convention.FIRST_AT_OR_BELOW
 LAST = Convention.LAST_ABOVE
 
 
-def brute_force_count(params, k, convention):
-    """Linear scan over the closed-form maxima, no shortcuts."""
-    threshold = params.v0 / k
-    m = 1
-    while peak_value(params, m) > threshold:
-        m += 1
-    return m if convention is FIRST else m - 1
+def brute_force_crossing(params, k, scan=4096):
+    """Index of the first closed-form maximum at or below V0/k: a linear
+    scan of maxima 1..scan in one array call, no shortcuts."""
+    below = np.flatnonzero(peak_value(params, np.arange(1, scan + 1)) <= params.v0 / k)
+    assert below.size, f"no maximum up to {scan} is at or below the threshold"
+    return int(below[0]) + 1
 
 
 class TestQFromCount:
@@ -115,11 +114,9 @@ class TestCount:
             q = float(np.exp(rng.uniform(np.log(0.6), np.log(3000.0))))
             k = float(rng.uniform(1.01, 30.0))
             params = ResonatorParams(f0=1.0, q=q, v0=1.0)
-            for conv in (FIRST, LAST):
-                config = MeasurementConfig(k, conv)
-                assert count_pseudo_periods(params, config) == brute_force_count(
-                    params, k, conv
-                )
+            m = brute_force_crossing(params, k)
+            for conv, n in ((FIRST, m), (LAST, m - 1)):
+                assert count_pseudo_periods(params, MeasurementConfig(k, conv)) == n
 
     def test_conventions_differ_by_one(self):
         rng = np.random.default_rng(7)
