@@ -325,7 +325,7 @@ def _predict_aligned(params, config, ni, s_div, s_cmp):
     c = first_crossing(
         env, config.k, config.convention, config.shortcut, divider, s_cmp * ni.comparator_offset
     )
-    check_range(c, params.q)
+    check_range(c, env)
     if c.status != Failure.NONE.value:
         message = _FAILURE_MESSAGES[Failure(int(c.status))]
         raise SimulationError(message.format(divider=divider, f0=params.f0, thr=float(c.threshold)))
@@ -366,6 +366,12 @@ _SAMPLED_MESSAGES = {
     ),
     Failure.NO_DECAY: "threshold crossed within the first pseudo-period; no decay was counted",
 }
+
+
+# numpy's normal draws lie within 12.3 standard deviations of the mean
+# (its ziggurat's tail takes the log of a 53-bit uniform), so up to this
+# noise every noise sample, and the 4 x noise_rms hysteresis, is finite
+_MAX_NOISE_RMS = np.finfo(float).max / 16
 
 
 def _margin(eps: float, level: float) -> float:
@@ -530,6 +536,11 @@ def simulate_measurement(
             f"the run needs {n_samples} samples, over the simulator's budget of {MAX_SAMPLES} samples"
         )
 
+    if ni.noise_rms > _MAX_NOISE_RMS:
+        raise SimulationError(
+            f"noise_rms={ni.noise_rms:.3g} V may draw noise samples past the float range "
+            f"(the simulator takes up to {_MAX_NOISE_RMS:.3g} V)"
+        )
     hysteresis = 4.0 * ni.noise_rms
     gain = _tracking_gain(params.f0, ni.detector_bandwidth)
     diode_drop = ni.diode_residual * _diode_ramp(params.f0, ni.f_fail)
@@ -537,24 +548,25 @@ def simulate_measurement(
     cycle = (0, -math.inf, 0)  # the open cycle: start, maximum, first index at it
     peaks, firsts, captured = [], [], []  # per block, of the cycles it closed
     offset = 0
-    # a hysteresis past the float range swallows any ring-down, and its
-    # noise samples may overflow: no block can fire the clock
     blocks = _sim_blocks(params, sample_rate, n_samples, ni.noise_rms, noise_seed)
-    for block in blocks if hysteresis < math.inf else ():
-        cycles, cycle, held = _clock_block(block, hysteresis, held, offset, cycle)
-        offset += block.ring.size
-        if cycles is None:
-            continue
-        lengths, peak, at = cycles
-        peaks.append(peak)
-        firsts.append(at)
-        new = _captured(np.where(peak < 0.0, 0.0, peak), gain, diode_drop, ni, lengths / sample_rate)
-        captured.append(new)
-        if len(captured) == 1:
-            stops = _stop_check(new[0], config, divider, comparator)
-            new = new[1:]
-        if stops(new):  # only this block's maxima can hold a new stop
-            break
+    try:
+        for block in blocks:
+            cycles, cycle, held = _clock_block(block, hysteresis, held, offset, cycle)
+            offset += block.ring.size
+            if cycles is None:
+                continue
+            lengths, peak, at = cycles
+            peaks.append(peak)
+            firsts.append(at)
+            new = _captured(np.where(peak < 0.0, 0.0, peak), gain, diode_drop, ni, lengths / sample_rate)
+            captured.append(new)
+            if len(captured) == 1:
+                stops = _stop_check(new[0], config, divider, comparator)
+                new = new[1:]
+            if stops(new):  # only this block's maxima can hold a new stop
+                break
+    finally:
+        blocks.close()  # drops the noise drawn ahead
     if not captured:
         raise SimulationError(
             f"the clock comparator never fired: no rising edge through its "

@@ -183,7 +183,7 @@ class Envelope:
 
     def __init__(self, q, f0=1.0, v0=1.0, gain=1.0, diode_ramp=0.0, opamp=0.0, leak=0.0, diode=0.0):
         self.q = np.asarray(q, dtype=float)
-        self.v0, self.gain = v0, gain
+        self.f0, self.v0, self.gain = f0, v0, gain
         w0 = 2.0 * math.pi * f0
         # past the float range 2 q gives alpha its limit 0, 4 q^2 gives T
         # its limit 2 pi / w0, and a drop overflows to inf
@@ -340,15 +340,21 @@ def count_pseudo_periods(params: ResonatorParams, config: MeasurementConfig) -> 
     The count depends only on q and k; it always exists because the
     maxima decay to zero.
     """
-    crossing = first_crossing(Envelope(params.q, params.f0, params.v0), config.k, config.convention)
-    check_range(crossing, params.q)
+    env = Envelope(params.q, params.f0, params.v0)
+    crossing = first_crossing(env, config.k, config.convention)
+    check_range(crossing, env)
     return int(crossing.n)
 
 
-def check_range(crossing: Crossing, q) -> None:
-    """Raise ValueError where a count would overflow the count arithmetic."""
-    if np.any(crossing.status == Failure.COUNT_RANGE.value):
-        raise ValueError(f"q={q} is out of range: the count would overflow")
+def check_range(crossing: Crossing, env: Envelope) -> None:
+    """Raise ValueError where a count would overflow the count
+    arithmetic, naming f0 where the pseudo-period left the float range."""
+    out = crossing.status == Failure.COUNT_RANGE.value
+    if not np.any(out):
+        return
+    if np.any(out & np.isnan(env.period)):
+        raise ValueError(f"f0={env.f0} is out of range: the pseudo-period leaves the float range")
+    raise ValueError(f"q={float(env.q)} is out of range: the count would overflow")
 
 
 def theoretical_error(q_true: float, config: MeasurementConfig) -> float:
@@ -357,8 +363,9 @@ def theoretical_error(q_true: float, config: MeasurementConfig) -> float:
     Quantization of the count is the only error source on this path.
     """
     ResonatorParams(f0=1.0, q=q_true)  # validates q_true
-    crossing = first_crossing(Envelope(q_true), config.k, config.convention)
-    check_range(crossing, q_true)
+    env = Envelope(q_true)
+    crossing = first_crossing(env, config.k, config.convention)
+    check_range(crossing, env)
     if crossing.status == Failure.NO_DECAY.value:
         raise ValueError(
             f"measurement degenerate at q={q_true}, k={config.k}: "

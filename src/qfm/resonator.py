@@ -17,7 +17,10 @@ closed forms in this module.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -208,6 +211,13 @@ MAX_SAMPLES = 2**24
 _SIM_BLOCK = 2**14
 _SIM_ROW = 128
 
+# A run of at least _HANDOFF_BLOCKS blocks draws its noise after the
+# first block in a worker thread, _LOOKAHEAD blocks ahead of the block
+# in use, while the caller works on that block (see _noise_blocks).
+# Shorter runs lose more to the hand-off than they gain.
+_HANDOFF_BLOCKS = 3
+_LOOKAHEAD = 3
+
 
 class _SimBlock(NamedTuple):
     """One block of the simulator's record.
@@ -235,10 +245,121 @@ def _exact_samples(constants, sample_rate, offset, noise, idx):
     return v
 
 
+class _Draws:
+    """A run's handed-off noise: its generator and scale, whether the run
+    has closed, and the blocks drawn for it, in order."""
+
+    def __init__(self, rng, noise_rms):
+        import queue
+
+        self.rng, self.noise_rms = rng, noise_rms
+        self.closed = False
+        self.drawn = queue.SimpleQueue()
+
+
+class _Drawer:
+    """One daemon thread that draws the blocks runs queue as
+    ``(draws, size)``, in the order queued, and skips those of closed
+    runs.  A draw that raises closes its run and hands the caller the
+    exception."""
+
+    def __init__(self):
+        import queue
+
+        self.jobs = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="qfm-noise", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            draws, size = self.jobs.get()
+            if draws.closed:
+                continue
+            try:
+                noise = draws.rng.normal(0.0, draws.noise_rms, size)
+            except Exception as exc:  # raised again in the caller's thread
+                draws.closed = True
+                noise = exc
+            draws.drawn.put(noise)
+
+
+_drawer = None
+_drawer_lock = threading.Lock()
+
+
+def _forget_drawer():
+    # a forked child has none of its parent's threads: it starts its own
+    global _drawer, _drawer_lock
+    _drawer, _drawer_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_drawer)
+
+
+def _the_drawer() -> _Drawer:
+    """The process's drawer, started on the first run that hands off; it
+    then waits, idle, for the next one."""
+    global _drawer
+    with _drawer_lock:
+        if _drawer is None:
+            _drawer = _Drawer()
+        return _drawer
+
+
+def _spare_cpu() -> bool:
+    """Whether the process may run on more than one CPU, so that a
+    worker's draw can overlap the caller's work."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _noise_blocks(rng, noise_rms: float, n: int):
+    """The noise of the blocks of ``n`` samples, in blocks of
+    ``_SIM_BLOCK`` (the last one shorter): ``rng.normal(0.0, noise_rms,
+    size)`` for each in turn, or None for each when ``rng`` is None.
+
+    One generator's draws concatenate bit for bit, so the blocks are
+    the same however they are drawn.  The first is drawn in the
+    caller's thread, and so is every block of a run shorter than
+    ``_HANDOFF_BLOCKS`` or of a process confined to one CPU.  Otherwise
+    a worker thread draws the later blocks in order, at most
+    ``_LOOKAHEAD`` past the block in use, while the caller works on
+    it.  Closing the generator drops the draws not yet started.
+    """
+    sizes = [min(_SIM_BLOCK, n - offset) for offset in range(0, n, _SIM_BLOCK)]
+    if rng is None:
+        yield from itertools.repeat(None, len(sizes))
+        return
+    first = rng.normal(0.0, noise_rms, sizes[0])
+    if len(sizes) < _HANDOFF_BLOCKS or not _spare_cpu():
+        yield first
+        for size in sizes[1:]:
+            yield rng.normal(0.0, noise_rms, size)
+        return
+    draws, drawer = _Draws(rng, noise_rms), _the_drawer()
+    queued = iter(sizes[1:])
+    try:
+        for size in itertools.islice(queued, _LOOKAHEAD):
+            drawer.jobs.put((draws, size))
+        yield first
+        for _ in sizes[1:]:
+            noise = draws.drawn.get()
+            if isinstance(noise, Exception):
+                raise noise
+            size = next(queued, None)
+            if size is not None:
+                drawer.jobs.put((draws, size))
+            yield noise
+    finally:
+        draws.closed = True
+
+
 def _sim_blocks(params: ResonatorParams, sample_rate: float, n: int, noise_rms: float, seed: int):
     """The first ``n`` samples of the noisy ring-down as consecutive
     :class:`_SimBlock` of ``_SIM_BLOCK`` samples (the last one shorter),
-    the noise drawn as ``synth_waveform`` draws it.
+    the noise from :func:`_noise_blocks`, as ``synth_waveform`` takes it.
+    Close the generator when the run stops early.
 
     Row j of a block starts at time T_j and sample k of the row lies
     tau_k later, so the ring-down there is
@@ -263,31 +384,33 @@ def _sim_blocks(params: ResonatorParams, sample_rate: float, n: int, noise_rms: 
     """
     constants = _ring_constants(params)
     omega_d, c, neg_alpha, v0 = constants
-    rng = np.random.default_rng(seed) if noise_rms > 0 else None
+    noises = _noise_blocks(np.random.default_rng(seed) if noise_rms > 0 else None, noise_rms, n)
     tau = np.arange(_SIM_ROW) / sample_rate
     pq = np.exp(neg_alpha * tau) * np.stack((np.cos(omega_d * tau), np.sin(omega_d * tau)))
     rows = -(-min(_SIM_BLOCK, n) // _SIM_ROW)
     ab, ring = np.empty((rows, 2)), np.empty((rows, _SIM_ROW))
     floor = math.ldexp(v0, -1000)
-    for offset in range(0, n, _SIM_BLOCK):
-        size = min(_SIM_BLOCK, n - offset)
-        r = -(-size // _SIM_ROW)
-        t = (offset + _SIM_ROW * np.arange(r)) / sample_rate
-        phase = omega_d * t
-        cos, sin = np.cos(phase), np.sin(phase)
-        amp = v0 * np.exp(neg_alpha * t)
-        np.multiply(amp, cos + c * sin, out=ab[:r, 0])
-        np.multiply(amp, c * cos - sin, out=ab[:r, 1])
-        np.matmul(ab[:r], pq, out=ring[:r])
-        noise = rng.normal(0.0, noise_rms, size) if rng is not None else None
-        end_phase = omega_d * (offset + r * _SIM_ROW) / sample_rate
-        # the amplitude multiplies last, so a v0 near the float range's
-        # top gives a bound, not an overflow
-        eps = amp[0] * ((1.0 + c) * (16.0 * (1.0 + c) * end_phase + 512.0) * 2.0**-52) + floor
-        yield _SimBlock(
-            ring[:r].reshape(-1)[:size], noise, eps,
-            partial(_exact_samples, constants, sample_rate, offset, noise),
-        )
+    try:
+        for offset, noise in zip(range(0, n, _SIM_BLOCK), noises):
+            size = min(_SIM_BLOCK, n - offset)
+            r = -(-size // _SIM_ROW)
+            t = (offset + _SIM_ROW * np.arange(r)) / sample_rate
+            phase = omega_d * t
+            cos, sin = np.cos(phase), np.sin(phase)
+            amp = v0 * np.exp(neg_alpha * t)
+            np.multiply(amp, cos + c * sin, out=ab[:r, 0])
+            np.multiply(amp, c * cos - sin, out=ab[:r, 1])
+            np.matmul(ab[:r], pq, out=ring[:r])
+            end_phase = omega_d * (offset + r * _SIM_ROW) / sample_rate
+            # the amplitude multiplies last, so a v0 near the float range's
+            # top gives a bound, not an overflow
+            eps = amp[0] * ((1.0 + c) * (16.0 * (1.0 + c) * end_phase + 512.0) * 2.0**-52) + floor
+            yield _SimBlock(
+                ring[:r].reshape(-1)[:size], noise, eps,
+                partial(_exact_samples, constants, sample_rate, offset, noise),
+            )
+    finally:
+        noises.close()
 
 
 def synth_waveform(
@@ -322,11 +445,14 @@ def synth_waveform(
     if n < 2:
         raise ValueError("duration too short: fewer than 2 samples requested")
     v = np.empty(n)
-    rng = np.random.default_rng(seed) if noise_rms > 0 else None
     constants = _ring_constants(params)
-    for offset in range(0, n, _SIM_BLOCK):
-        block = v[offset:offset + _SIM_BLOCK]
-        block[:] = _ring(*constants, (offset + np.arange(block.size)) / sample_rate)
-        if rng is not None:
-            block += rng.normal(0.0, noise_rms, block.size)
+    noises = _noise_blocks(np.random.default_rng(seed) if noise_rms > 0 else None, noise_rms, n)
+    try:
+        for offset, noise in zip(range(0, n, _SIM_BLOCK), noises):
+            block = v[offset:offset + _SIM_BLOCK]
+            block[:] = _ring(*constants, (offset + np.arange(block.size)) / sample_rate)
+            if noise is not None:
+                block += noise
+    finally:
+        noises.close()
     return Waveform(sample_rate=sample_rate, samples=v)

@@ -619,6 +619,9 @@ class TestNonFiniteInput:
             (("simulate", "--noise", "1e308"), 3),
             (("simulate", "--noise", "4e307"), 3),
             (("sweep", "frequency", "--f0", "1kHz,10kHz", "--noise", "1.7e308"), 0),
+            # noise samples past about 4.08 sigma overflow to +/-inf
+            (("simulate", "--noise", "4.4e307", "--seed", "8"), 3),
+            (("sweep", "frequency", "--f0", "1kHz,10kHz", "--noise", "4.4e307", "--seed", "8"), 0),
         ],
     )
     def test_huge_finite_input_ends_in_its_exit_code(self, capsys, tmp_path, argv, code):
@@ -628,6 +631,8 @@ class TestNonFiniteInput:
         got, out, err = run(capsys, *argv)
         assert got == code
         assert err.count("\n") == (code != 0) and "Traceback" not in err
+        if argv[:2] == ("simulate", "--f0"):  # the period, not Q, left the float range
+            assert "f0=" in err and "q=" not in err
         if argv[0] == "sweep" and code == 0:  # every cell of the table is NA
             fields = record_fields(out.strip())
             assert fields["na"] == fields["rows"] and out_csv.exists()
@@ -653,8 +658,12 @@ class TestNonFiniteInput:
 
 
 def test_import_loads_no_xml_or_http():
-    # xml.sax.saxutils alone would pull in urllib.request and http.client
-    probe = "import sys, qfm.cli; print(*[m for m in ('xml', 'urllib.request', 'http.client') if m in sys.modules])"
+    # xml.sax.saxutils alone would pull in urllib.request and http.client;
+    # the simulator's noise worker starts on the first run that needs it
+    probe = (
+        "import sys, qfm.cli; print(*[m for m in ('xml', 'urllib.request', 'http.client', "
+        "'concurrent.futures', 'logging', 'queue') if m in sys.modules])"
+    )
     src = os.path.dirname(os.path.dirname(qfm.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)

@@ -3,6 +3,8 @@ oracles (dense sampling, bisected zero crossings, local maximization)."""
 
 import itertools
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -267,9 +269,56 @@ class TestSynth:
                 synth_waveform(params, rate, duration)
 
 
+class RecordingRng:
+    """A seeded generator's normal draws, each recorded with its thread;
+    draw number ``fail_at`` (from 1) raises instead, and the draws after
+    the first wait for ``gate`` to be set, when one is given."""
+
+    def __init__(self, seed, fail_at=None, gate=None):
+        self.rng, self.fail_at, self.gate, self.threads = np.random.default_rng(seed), fail_at, gate, []
+
+    def normal(self, loc, scale, size):
+        self.threads.append(threading.current_thread())
+        if self.gate is not None and len(self.threads) > 1:
+            assert self.gate.wait(30)
+        if len(self.threads) == self.fail_at:
+            raise ValueError("draw failed")
+        return self.rng.normal(loc, scale, size)
+
+
+def serial_draws(seed, noise_rms, n):
+    """One generator's draws for the blocks of n samples, one after another."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(0.0, noise_rms, min(resonator._SIM_BLOCK, n - o)) for o in range(0, n, resonator._SIM_BLOCK)]
+
+
+def drawer_idle():
+    """Wait until the drawer has served every draw queued so far."""
+    probe = resonator._Draws(np.random.default_rng(0), 1.0)
+    resonator._the_drawer().jobs.put((probe, 1))
+    probe.drawn.get(timeout=30)
+
+
+def wait_for(condition, timeout=30.0):
+    end = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < end, "timed out"
+        time.sleep(0.001)
+
+
+@pytest.fixture
+def spare_cpu(monkeypatch):
+    """Runs hand off as on a machine with CPUs to spare, whatever this one has."""
+    monkeypatch.setattr(resonator, "_spare_cpu", lambda: True)
+
+
+HANDOFF = resonator._HANDOFF_BLOCKS
+
+
 class TestSimBlocks:
     """The simulator's blocks: an approximate ring-down within the block's
-    bound of the exact one, and exact samples bit for bit as synthesized."""
+    bound of the exact one, exact samples bit for bit as synthesized, and
+    the noise drawn ahead in a worker the same blocks as drawn in turn."""
 
     @pytest.mark.parametrize("q", [0.51, 0.7, 2.0, 50.0, 2e4, 1e6, 1e7])
     @pytest.mark.parametrize("spp", [20, 37, 59])
@@ -297,6 +346,80 @@ class TestSimBlocks:
             assert b.exact(idx).tobytes() == whole[idx].tobytes()
             offset += whole.size
         assert offset == n
+
+    @pytest.mark.parametrize("blocks", [1, 2, HANDOFF - 1, HANDOFF, HANDOFF + 1, 57])
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_noise_blocks_are_the_serial_draws(self, monkeypatch, blocks, spare):
+        monkeypatch.setattr(resonator, "_spare_cpu", lambda: spare)
+        n = blocks * resonator._SIM_BLOCK - 5
+        rng = RecordingRng(5)
+        got = list(resonator._noise_blocks(rng, 1e-3, n))
+        expected = serial_draws(5, 1e-3, n)
+        assert len(got) == len(expected) == blocks
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+        # the first block in the caller's thread; the later ones in the
+        # worker only on a long enough run with a CPU to spare
+        caller = threading.current_thread()
+        handed = spare and blocks >= HANDOFF
+        assert rng.threads[0] is caller
+        assert all((t is not caller) == handed for t in rng.threads[1:])
+
+    def test_hundreds_of_tiny_noise_blocks(self, monkeypatch, spare_cpu):
+        monkeypatch.setattr(resonator, "_SIM_BLOCK", 16)
+        n = 16 * 700 + 9
+        got = list(resonator._noise_blocks(np.random.default_rng(8), 2.0, n))
+        assert np.concatenate(got).tobytes() == np.random.default_rng(8).normal(0.0, 2.0, n).tobytes()
+        assert len(got) == 701
+
+    def test_noiseless_blocks_are_none(self):
+        assert list(resonator._noise_blocks(None, 0.0, 5 * resonator._SIM_BLOCK + 1)) == [None] * 6
+
+    def test_draws_at_most_the_lookahead_past_the_block_in_use(self, monkeypatch, spare_cpu):
+        monkeypatch.setattr(resonator, "_SIM_BLOCK", 100)
+        rng = RecordingRng(1)
+        for b, _ in enumerate(resonator._noise_blocks(rng, 1.0, 20 * 100)):
+            drawn = min(b + 1 + resonator._LOOKAHEAD, 20)
+            wait_for(lambda: len(rng.threads) >= drawn)
+            drawer_idle()
+            assert len(rng.threads) == drawn
+
+    def test_closing_drops_the_draws_not_started(self, monkeypatch, spare_cpu):
+        monkeypatch.setattr(resonator, "_SIM_BLOCK", 100)
+        rng = RecordingRng(1, gate=threading.Event())
+        blocks = resonator._noise_blocks(rng, 1.0, 50 * 100)
+        next(blocks)
+        wait_for(lambda: len(rng.threads) == 2)  # the worker is in block 1's draw
+        blocks.close()
+        rng.gate.set()
+        drawer_idle()
+        assert len(rng.threads) == 2  # blocks 2 and 3 were queued, not drawn
+        # the next run draws its own blocks, bit for bit
+        got = list(resonator._noise_blocks(np.random.default_rng(4), 1.0, 50 * 100))
+        assert np.concatenate(got).tobytes() == np.concatenate(serial_draws(4, 1.0, 50 * 100)).tobytes()
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 4, 9])
+    def test_a_draw_that_raises_raises_in_the_caller(self, monkeypatch, spare_cpu, fail_at):
+        monkeypatch.setattr(resonator, "_SIM_BLOCK", 100)
+        rng = RecordingRng(1, fail_at=fail_at)
+        taken = []
+        with pytest.raises(ValueError, match="draw failed"):
+            for noise in resonator._noise_blocks(rng, 1.0, 12 * 100):
+                taken.append(noise)
+        assert len(taken) == fail_at - 1
+        drawer_idle()
+        assert len(rng.threads) == fail_at  # the run's later draws are dropped
+        got = list(resonator._noise_blocks(np.random.default_rng(4), 1.0, 12 * 100))
+        assert np.concatenate(got).tobytes() == np.concatenate(serial_draws(4, 1.0, 12 * 100)).tobytes()
+
+    @pytest.mark.parametrize("blocks", [1, HANDOFF, 57])
+    def test_synth_and_simulator_blocks_take_the_same_noise(self, spare_cpu, blocks):
+        params = ResonatorParams(f0=37e3, q=1234.5, v0=1.7)
+        rate, n = 41 * params.f0, blocks * resonator._SIM_BLOCK - 3
+        wave = synth_waveform(params, rate, n / rate, noise_rms=1e-3, seed=9).samples
+        ring = resonator._ring(*resonator._ring_constants(params), np.arange(n) / rate)
+        noise = np.concatenate([b.noise for b in resonator._sim_blocks(params, rate, n, 1e-3, 9)])
+        assert noise.tobytes() == np.concatenate(serial_draws(9, 1e-3, n)).tobytes()
+        assert (ring + noise).tobytes() == wave.tobytes()
 
 
 class TestWaveform:

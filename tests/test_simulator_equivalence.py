@@ -8,6 +8,10 @@ CSV and error message must come out identical.
 
 import functools
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -664,3 +668,110 @@ def test_captured_column_is_capture_model_of_the_true_maxima(monkeypatch, case):
     expected = capture_model(np.where(true_peak < 0.0, 0.0, true_peak), params.f0, ni, holds)
     assert captured.tobytes() == expected.tobytes()
     assert (true_peak[0] < 0) == (case == "dipped") and captured[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# the noise drawn ahead in a worker thread: every run as with the noise
+# drawn in turn, on any number of CPUs
+
+
+@pytest.fixture
+def spare_cpu(monkeypatch):
+    """Runs hand off as on a machine with CPUs to spare, whatever this one has."""
+    monkeypatch.setattr(resonator, "_spare_cpu", lambda: True)
+
+
+def corner_at(q):
+    """CORNER at quality factor q."""
+    return (ResonatorParams(f0=1e6, q=q), *CORNER[1:])
+
+
+# Q of a CORNER run whose record spans the given number of blocks: the
+# shortest runs draw in turn, from _HANDOFF_BLOCKS (3) on they hand off
+BLOCKS_Q = {1: 100.0, 2: 700.0, 3: 800.0, 4: 1200.0, 53: 20_000.0}
+
+
+@pytest.mark.parametrize("blocks", sorted(BLOCKS_Q))
+def test_handed_off_runs_match_reference(spare_cpu, blocks):
+    args = corner_at(BLOCKS_Q[blocks])
+    assert -(-record_length(*args) // resonator._SIM_BLOCK) == blocks
+    assert_same_run(args)
+
+
+@pytest.mark.parametrize("block", [64, 1000])
+def test_handed_off_tiny_blocks_match_reference(monkeypatch, spare_cpu, block):
+    monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
+    runs = [corner_at(1200.0)] + [draw(i) for i in range(0, 12, 2)]
+    assert record_length(*runs[0]) > 800 * 64
+    for args in runs:
+        assert_same_outcome(args)
+
+
+def test_a_run_that_raises_leaves_the_next_run_alone(monkeypatch, spare_cpu):
+    args = corner_at(20_000.0)
+    clock_block, calls = circuit._clock_block, []
+
+    def failing(*a):
+        calls.append(a)
+        if len(calls) == 5:
+            raise RuntimeError("block failed")
+        return clock_block(*a)
+
+    monkeypatch.setattr(circuit, "_clock_block", failing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        simulate_measurement(*args)
+    monkeypatch.setattr(circuit, "_clock_block", clock_block)
+    assert_same_run(args)
+    assert_same_run(corner_at(1200.0))
+
+
+def run_outcome(args):
+    result, trace = simulate_measurement(*args)
+    return result, trace.to_csv_string()
+
+
+def test_concurrent_runs_match_serial_runs(spare_cpu):
+    # four threads on the one drawer, each through the runs in its own order
+    runs = [corner_at(q) for q in (800.0, 1200.0, 6000.0, 20_000.0)]
+    serial = [run_outcome(args) for args in runs]
+    got = {}
+
+    def work(j):
+        got[j] = [run_outcome(args) for args in runs[j:] + runs[:j]]
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [got[j] for j in range(4)] == [serial[j:] + serial[:j] for j in range(4)]
+
+
+FORK_PROBE = """
+import os, signal
+from qfm import CircuitNonIdealities, Convention, MeasurementConfig, ResonatorParams, resonator, simulate_measurement
+resonator._spare_cpu = lambda: True
+args = (ResonatorParams(f0=1e6, q=20000.0), MeasurementConfig(10.0, Convention.FIRST_AT_OR_BELOW),
+        CircuitNonIdealities(noise_rms=1e-4), 59, 0)
+parent = simulate_measurement(*args)[1].to_csv_string()
+assert resonator._drawer is not None
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)  # a child left waiting on its parent's worker ends
+    os._exit(0 if simulate_measurement(*args)[1].to_csv_string() == parent else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_simulates_after_a_handed_off_run():
+    src = os.path.dirname(os.path.dirname(resonator.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", FORK_PROBE], env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout.strip()) == (0, "0"), out.stderr
