@@ -331,12 +331,11 @@ def _noise_blocks(rng, noise_rms: float, n: int):
     if rng is None:
         yield from itertools.repeat(None, len(sizes))
         return
-    first = rng.normal(0.0, noise_rms, sizes[0])
     if len(sizes) < _HANDOFF_BLOCKS or not _spare_cpu():
-        yield first
-        for size in sizes[1:]:
+        for size in sizes:
             yield rng.normal(0.0, noise_rms, size)
         return
+    first = rng.normal(0.0, noise_rms, sizes[0])
     draws, drawer = _Draws(rng, noise_rms), _the_drawer()
     queued = iter(sizes[1:])
     try:
