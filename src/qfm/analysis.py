@@ -274,8 +274,8 @@ def frequency_sweep(
     time-domain run per point with the configured sign alignment.
 
     Points where the run cannot complete are recorded with NA markers;
-    a point over the simulator's sample budget (SampleBudgetError)
-    aborts the sweep instead.
+    a point whose counter has not stopped within the simulator's sample
+    budget (SampleBudgetError) aborts the sweep instead.
     """
     f0_values = [float(f) for f in f0_values]
     if not f0_values:

@@ -27,11 +27,12 @@ the threshold-side errors (divider and comparator) enter with +1, -1, or
 independently drawn signs.  Two evaluation paths are provided and are
 required to agree to within one count: ``simulate_measurement`` samples
 the ring-down, ``predicted_measurement`` evaluates the same model in
-closed form.  The sampled run synthesizes, clocks and captures the
-ring-down in fixed blocks of samples, carrying the comparator's state
-and the open cycle from block to block, and ends with the block in
-which the counter stops; its working memory is one block's buffers
-plus a few numbers per clock cycle, whatever the record's length.
+closed form; the sampled path calls nothing of the closed form.  The
+sampled run synthesizes, clocks and captures the ring-down in fixed
+blocks of samples, carrying the comparator's state and the open cycle
+from block to block, until the block in which the counter stops or a
+budget of ``resonator.MAX_SAMPLES`` samples; its working memory is one
+block's buffers plus a few numbers per clock cycle.
 
 A block's samples come approximate, within a stated bound of the exact
 ones (see ``resonator._sim_blocks``).  The comparator and each cycle's
@@ -94,8 +95,8 @@ class SimulationError(RuntimeError):
 
 
 class SampleBudgetError(SimulationError):
-    """A time-domain run would synthesize more than resonator.MAX_SAMPLES
-    samples; a resource limit, not a property of the measured point."""
+    """A time-domain run's counter has not stopped within resonator.MAX_SAMPLES
+    samples: a resource limit, which cannot tell a long count from none."""
 
 
 class SignAlignment(enum.Enum):
@@ -293,8 +294,8 @@ def detector_envelope(q, f0, v0, ni: CircuitNonIdealities, opamp, leak, diode) -
     return Envelope(q, f0, v0, gain, _diode_ramp(f0, ni.f_fail), opamp, leak, diode)
 
 
+# both paths' failures; no DIVIDER, as divider_error is under 1
 _FAILURE_MESSAGES = {
-    Failure.DIVIDER: "divider error {divider:+.3g} wipes out the division ratio entirely",
     Failure.NO_SIGNAL: (
         "captured initial amplitude is zero: the peak detector loses the "
         "signal entirely at f0={f0} Hz with this error budget"
@@ -314,22 +315,9 @@ _FAILURE_MESSAGES = {
 }
 
 
-def _predict_aligned(params, config, ni, s_div, s_cmp):
-    """Closed-form measurement with the threshold-side errors at the
-    given signs: a 0-d call of the crossing kernel.  Returns
-    (MeasurementResult, first crossing index m*)."""
-    divider = s_div * ni.divider_error
-    env = detector_envelope(
-        params.q, params.f0, params.v0, ni, ni.opamp_offset, ni.leak_droop, ni.diode_residual
-    )
-    c = first_crossing(
-        env, config.k, config.convention, config.shortcut, divider, s_cmp * ni.comparator_offset
-    )
-    check_range(c, env)
-    if c.status != Failure.NONE.value:
-        message = _FAILURE_MESSAGES[Failure(int(c.status))]
-        raise SimulationError(message.format(divider=divider, f0=params.f0, thr=float(c.threshold)))
-    return c.result(env.period), int(c.m)
+def _failure(status, f0=None, thr=None) -> SimulationError:
+    """The SimulationError of a measurement that ends in ``status``."""
+    return SimulationError(_FAILURE_MESSAGES[Failure(int(status))].format(f0=f0, thr=thr))
 
 
 def predicted_measurement(
@@ -349,29 +337,19 @@ def predicted_measurement(
             "use PLUS or MINUS, or run simulate_measurement with a seed"
         )
     s_div, s_cmp = _resolve_signs(ni)
-    result, _ = _predict_aligned(params, config, ni, s_div, s_cmp)
-    return result
+    env = detector_envelope(
+        params.q, params.f0, params.v0, ni, ni.opamp_offset, ni.leak_droop, ni.diode_residual
+    )
+    divider, comparator = s_div * ni.divider_error, s_cmp * ni.comparator_offset
+    c = first_crossing(env, config.k, config.convention, config.shortcut, divider, comparator)
+    check_range(c, env)
+    if c.status != Failure.NONE.value:
+        raise _failure(c.status, params.f0, float(c.threshold))
+    return c.result(env.period)
 
 
 # ---------------------------------------------------------------------------
 # time-domain path
-
-# the sampled run's failures, in the words of the circuit's stop logic
-_SAMPLED_MESSAGES = {
-    Failure.NO_SIGNAL: "captured initial amplitude is zero; no threshold can be formed",
-    Failure.UNREACHABLE: (
-        "signal decayed to the end of the simulation budget without the "
-        "stop logic completing; the threshold is unreachable or buried "
-        "in the noise floor"
-    ),
-    Failure.NO_DECAY: "threshold crossed within the first pseudo-period; no decay was counted",
-}
-
-
-# numpy's normal draws lie within 12.3 standard deviations of the mean
-# (its ziggurat's tail takes the log of a 53-bit uniform), so up to this
-# noise every noise sample, and the 4 x noise_rms hysteresis, is finite
-_MAX_NOISE_RMS = np.finfo(float).max / 16
 
 
 def _margin(eps: float, level: float) -> float:
@@ -486,11 +464,22 @@ def _stop_check(v0, config: MeasurementConfig, divider, comparator):
     of the held maxima that follow (any number of them), True when the
     counter stops on them.  That is when V0 is not positive or one of
     them is at or below the stop threshold, exactly when held_crossing
-    over V0 and them has a status other than UNREACHABLE."""
+    over V0 and them has a status other than UNREACHABLE.  A threshold
+    below 0 V, under every held maximum, raises SimulationError."""
     if not v0 > 0:
         return lambda held: True
     threshold = stop_threshold(v0, config.k, divider, comparator)
+    if threshold < 0:
+        raise _failure(Failure.NEGATIVE_THRESHOLD, thr=threshold)
     return lambda held: bool((held <= threshold).any())
+
+
+def _planned_samples(params: ResonatorParams, config: MeasurementConfig, samples_per_period: int) -> int:
+    """Samples a run plans its first blocks for, within the budget: the
+    ideal count, Q ln k / pi, 5 % more as offsets lengthen a count, and
+    10 pseudo-periods; it sets only the blocks and the noise drawn ahead."""
+    periods = 1.05 * params.q * math.log(config.k) / math.pi + 10.0
+    return round(min(MAX_SAMPLES, periods * samples_per_period))
 
 
 def simulate_measurement(
@@ -510,37 +499,35 @@ def simulate_measurement(
     The ring-down is synthesized and clocked in blocks of samples, the
     comparator state and the open cycle carried from one block to the
     next, decided on approximate samples and exact where the
-    approximation leaves a decision open; the run ends with the block
-    in which the counter stops;
-    the trace holds cycles 0 up to the one that stopped the counter.
-    Deterministic for a given seed (which drives the input noise and,
-    for INDEPENDENT alignment, the error signs).
+    approximation leaves a decision open.  The run ends with the block
+    in which the counter stops, or raises SampleBudgetError when it has
+    not stopped within ``resonator.MAX_SAMPLES`` samples; nothing of the
+    closed form decides it.  The trace holds cycles 0 up to the one that
+    stopped the counter.  Deterministic for a given seed (which drives
+    the input noise and, for INDEPENDENT alignment, the error signs).
     """
     if samples_per_period < 20:
         raise ValueError(
             f"samples_per_period must be >= 20 (got {samples_per_period})"
         )
     dyn = derive_dynamics(params)
+    sample_rate = samples_per_period * params.f0
+    for what, value in zip(("pseudo-period", "sample rate", "budget's duration"),
+                           (dyn.pseudo_period, sample_rate, MAX_SAMPLES / sample_rate)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"f0={params.f0} is out of range: the {what} leaves the float range")
+    if math.exp(-dyn.alpha * dyn.pseudo_period) == 1.0:
+        raise ValueError(f"q={params.q} is out of range: the maxima's decay per pseudo-period rounds to 1")
+    # numpy's normal draws lie within 12.3 sigma (its ziggurat's tail takes
+    # the log of a 53-bit uniform) and the ring-down within v0 (1 + c): with
+    # room for the approximation, every sample and the hysteresis are finite
+    c = 1.0 / math.sqrt(4.0 * params.q * params.q - 1.0)
+    if not params.v0 * (1.0 + c) + 16.0 * ni.noise_rms < math.inf:
+        raise SimulationError(f"v0={params.v0:.3g} V plus noise_rms={ni.noise_rms:.3g} V may overflow a sample")
     rng = np.random.default_rng(seed)
     s_div, s_cmp = _resolve_signs(ni, rng)
     noise_seed = int(rng.integers(0, 2**63 - 1))
     divider, comparator = s_div * ni.divider_error, s_cmp * ni.comparator_offset
-
-    # Closed-form crossing index caps the run; the pathological
-    # never-stops configurations surface here as SimulationError.
-    _, m_star = _predict_aligned(params, config, ni, s_div, s_cmp)
-    sample_rate = samples_per_period * params.f0
-    n_samples = round((m_star + 10) * dyn.pseudo_period * sample_rate)
-    if n_samples > MAX_SAMPLES:
-        raise SampleBudgetError(
-            f"the run needs {n_samples} samples, over the simulator's budget of {MAX_SAMPLES} samples"
-        )
-
-    if ni.noise_rms > _MAX_NOISE_RMS:
-        raise SimulationError(
-            f"noise_rms={ni.noise_rms:.3g} V may draw noise samples past the float range "
-            f"(the simulator takes up to {_MAX_NOISE_RMS:.3g} V)"
-        )
     hysteresis = 4.0 * ni.noise_rms
     gain = _tracking_gain(params.f0, ni.detector_bandwidth)
     diode_drop = ni.diode_residual * _diode_ramp(params.f0, ni.f_fail)
@@ -548,7 +535,8 @@ def simulate_measurement(
     cycle = (0, -math.inf, 0)  # the open cycle: start, maximum, first index at it
     peaks, firsts, captured = [], [], []  # per block, of the cycles it closed
     offset = 0
-    blocks = _sim_blocks(params, sample_rate, n_samples, ni.noise_rms, noise_seed)
+    plan = _planned_samples(params, config, samples_per_period)
+    blocks = _sim_blocks(params, sample_rate, plan, MAX_SAMPLES, ni.noise_rms, noise_seed)
     try:
         for block in blocks:
             cycles, cycle, held = _clock_block(block, hysteresis, held, offset, cycle)
@@ -565,18 +553,24 @@ def simulate_measurement(
                 new = new[1:]
             if stops(new):  # only this block's maxima can hold a new stop
                 break
+        else:  # the budget is spent
+            if not captured:
+                raise SimulationError(
+                    f"the clock comparator never fired: no rising edge through its +/-{hysteresis:.3g} V "
+                    f"hysteresis (4 x noise_rms) in a ring-down from v0={params.v0:.3g} V"
+                )
+            thr = stop_threshold(captured[0][0], config.k, divider, comparator)
+            raise SampleBudgetError(
+                f"the counter has not stopped within the simulator's budget of {MAX_SAMPLES} samples: "
+                f"{sum(map(len, captured)) - 1} cycles counted, the last held maximum "
+                f"{captured[-1][-1]:.4g} V against a threshold of {thr:.4g} V"
+            )
     finally:
         blocks.close()  # drops the noise drawn ahead
-    if not captured:
-        raise SimulationError(
-            f"the clock comparator never fired: no rising edge through its "
-            f"+/-{hysteresis:.3g} V hysteresis (4 x noise_rms) in a ring-down "
-            f"from v0={params.v0:.3g} V"
-        )
     captured = np.concatenate(captured)
     c = held_crossing(captured, config, divider, comparator, params.q)
     if c.status != Failure.NONE.value:
-        raise SimulationError(_SAMPLED_MESSAGES[Failure(int(c.status))])
+        raise _failure(c.status, params.f0, float(c.threshold))
     stop = int(c.m)  # cycles 1 .. stop - 1 were counted
     thr = float(c.threshold)
     cut = slice(0, stop + 1)

@@ -197,7 +197,8 @@ def _check_peak_index(m):
 # modeled circuit non-ideality.
 MIN_SAMPLES_PER_PERIOD = 20
 
-# Largest record synthesized: 2**24 samples is 134 MB per float64 array.
+# Largest record synthesized or read (134 MB per float64 array), and the
+# samples a simulator run may spend before its counter stops.
 MAX_SAMPLES = 2**24
 
 # Samples per block of synthesis and of the simulator's run: its float64
@@ -211,10 +212,10 @@ MAX_SAMPLES = 2**24
 _SIM_BLOCK = 2**14
 _SIM_ROW = 128
 
-# A run of at least _HANDOFF_BLOCKS blocks draws its noise after the
-# first block in a worker thread, _LOOKAHEAD blocks ahead of the block
-# in use, while the caller works on that block (see _noise_blocks).
-# Shorter runs lose more to the hand-off than they gain.
+# A record (or a simulator run's plan) of at least _HANDOFF_BLOCKS blocks
+# draws its noise after the first block in a worker thread, _LOOKAHEAD
+# blocks ahead of the block in use, while the caller works on that block
+# (see _noise_blocks).  Shorter runs lose more to the hand-off than they gain.
 _HANDOFF_BLOCKS = 3
 _LOOKAHEAD = 3
 
@@ -315,9 +316,9 @@ def _spare_cpu() -> bool:
 
 
 def _noise_blocks(rng, noise_rms: float, n: int):
-    """The noise of the blocks of ``n`` samples, in blocks of
-    ``_SIM_BLOCK`` (the last one shorter): ``rng.normal(0.0, noise_rms,
-    size)`` for each in turn, or None for each when ``rng`` is None.
+    """The noise of ``n`` samples (a record, or the samples a simulator
+    run plans for) in blocks of ``_SIM_BLOCK``, the last one shorter:
+    ``rng.normal(0.0, noise_rms, size)`` for each, or None when ``rng`` is None.
 
     One generator's draws concatenate bit for bit, so the blocks are
     the same however they are drawn.  The first is drawn in the
@@ -354,11 +355,13 @@ def _noise_blocks(rng, noise_rms: float, n: int):
         draws.closed = True
 
 
-def _sim_blocks(params: ResonatorParams, sample_rate: float, n: int, noise_rms: float, seed: int):
+def _sim_blocks(params: ResonatorParams, sample_rate: float, plan: int, n: int, noise_rms: float, seed: int):
     """The first ``n`` samples of the noisy ring-down as consecutive
-    :class:`_SimBlock` of ``_SIM_BLOCK`` samples (the last one shorter),
-    the noise from :func:`_noise_blocks`, as ``synth_waveform`` takes it.
-    Close the generator when the run stops early.
+    :class:`_SimBlock`, the noise as ``synth_waveform`` takes it: the
+    first ``plan`` (at most ``n``) in blocks of ``_SIM_BLOCK`` (the last
+    one shorter), their noise from :func:`_noise_blocks`, then the rest
+    likewise, their noise drawn in turn.  Whatever the plan, the samples
+    are the same.  Close the generator when the run stops early.
 
     Row j of a block starts at time T_j and sample k of the row lies
     tau_k later, so the ring-down there is
@@ -383,15 +386,17 @@ def _sim_blocks(params: ResonatorParams, sample_rate: float, n: int, noise_rms: 
     """
     constants = _ring_constants(params)
     omega_d, c, neg_alpha, v0 = constants
-    noises = _noise_blocks(np.random.default_rng(seed) if noise_rms > 0 else None, noise_rms, n)
+    rng = np.random.default_rng(seed) if noise_rms > 0 else None
+    planned = _noise_blocks(rng, noise_rms, plan)
     tau = np.arange(_SIM_ROW) / sample_rate
     pq = np.exp(neg_alpha * tau) * np.stack((np.cos(omega_d * tau), np.sin(omega_d * tau)))
     rows = -(-min(_SIM_BLOCK, n) // _SIM_ROW)
     ab, ring = np.empty((rows, 2)), np.empty((rows, _SIM_ROW))
     floor = math.ldexp(v0, -1000)
     try:
-        for offset, noise in zip(range(0, n, _SIM_BLOCK), noises):
-            size = min(_SIM_BLOCK, n - offset)
+        for offset in itertools.chain(range(0, plan, _SIM_BLOCK), range(plan, n, _SIM_BLOCK)):
+            size = min(_SIM_BLOCK, (plan if offset < plan else n) - offset)
+            noise = next(planned) if offset < plan else rng.normal(0.0, noise_rms, size) if rng else None
             r = -(-size // _SIM_ROW)
             t = (offset + _SIM_ROW * np.arange(r)) / sample_rate
             phase = omega_d * t
@@ -409,7 +414,7 @@ def _sim_blocks(params: ResonatorParams, sample_rate: float, n: int, noise_rms: 
                 partial(_exact_samples, constants, sample_rate, offset, noise),
             )
     finally:
-        noises.close()
+        planned.close()
 
 
 def synth_waveform(

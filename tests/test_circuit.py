@@ -13,6 +13,7 @@ from qfm import (
     Convention,
     MeasurementConfig,
     ResonatorParams,
+    SampleBudgetError,
     SignAlignment,
     SimTrace,
     SimulationError,
@@ -20,12 +21,13 @@ from qfm import (
     capture_model,
     count_pseudo_periods,
     derive_dynamics,
+    frequency_sweep,
     pessimistic_nonidealities,
     predicted_measurement,
     q_from_count,
     simulate_measurement,
 )
-from qfm import circuit
+from qfm import circuit, resonator
 
 FIRST = Convention.FIRST_AT_OR_BELOW
 LAST = Convention.LAST_ABOVE
@@ -277,6 +279,45 @@ class TestSimulate:
         ni = CircuitNonIdealities(noise_rms=1e-4)
         result, _ = simulate_measurement(PARAMS, K6, ni, 50, seed=77)
         assert abs(result.n - 171) <= 1
+
+
+class TestSampleBudget:
+    """A run ends where its counter stops, or when the simulator's budget,
+    patched small here, is spent with the counter still running."""
+
+    UNREACHABLE = CircuitNonIdealities(opamp_offset=0.5)
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(circuit, "MAX_SAMPLES", 20_000)
+
+    def test_unreachable_threshold_spends_the_budget(self):
+        # 40 samples per period: 500 cycles close, and all but V0's count
+        with pytest.raises(SampleBudgetError) as raised:
+            simulate_measurement(PARAMS, K6, self.UNREACHABLE, 40, seed=0)
+        message = str(raised.value)
+        assert "budget of 20000 samples" in message and "499 cycles counted" in message
+        assert "the last held maximum 0.5054 V against a threshold of 0.25 V" in message
+
+    def test_unreachable_point_aborts_the_frequency_sweep(self):
+        with pytest.raises(SampleBudgetError, match="20000 samples"):
+            frequency_sweep(300.0, 6.0, [1e3, 5e4], self.UNREACHABLE, samples_per_period=40)
+
+    def test_negative_threshold_fails_in_the_first_block(self, monkeypatch):
+        served = []
+
+        def counted(*args):
+            for block in resonator._sim_blocks(*args):
+                served.append(block.ring.size)
+                yield block
+
+        monkeypatch.setattr(resonator, "_SIM_BLOCK", 1000)
+        monkeypatch.setattr(circuit, "_sim_blocks", counted)
+        ni = CircuitNonIdealities(comparator_offset=0.5, divider_error=0.01, worst_case_sign=SignAlignment.MINUS)
+        with pytest.raises(SimulationError, match="is negative") as raised:
+            simulate_measurement(PARAMS, K6, ni, 40, seed=0)
+        assert not isinstance(raised.value, SampleBudgetError)
+        assert served == [1000]
 
 
 class TestTraceRows:

@@ -326,7 +326,7 @@ class TestSimBlocks:
         # the first blocks and the last of a MAX_SAMPLES record, where the
         # phase and with it the rounding of both evaluations is largest
         params = ResonatorParams(f0=1e6, q=q, v0=1.3)
-        blocks = resonator._sim_blocks(params, spp * params.f0, resonator.MAX_SAMPLES, 0.0, 0)
+        blocks = resonator._sim_blocks(params, spp * params.f0, resonator.MAX_SAMPLES, resonator.MAX_SAMPLES, 0.0, 0)
         checked = [(b.ring.copy(), b.exact(np.arange(b.ring.size)), b.eps) for b in itertools.islice(blocks, 2)]
         *_, last = blocks
         checked.append((last.ring, last.exact(np.arange(last.ring.size)), last.eps))
@@ -338,14 +338,16 @@ class TestSimBlocks:
         rate, n = 41 * params.f0, 40_000
         wave = synth_waveform(params, rate, n / rate, noise_rms=1e-3, seed=9).samples
         rng = np.random.default_rng(3)
-        offset = 0
-        for b in resonator._sim_blocks(params, rate, n, 1e-3, 9):
-            whole = wave[offset:offset + b.ring.size]
-            assert b.exact(np.arange(whole.size)).tobytes() == whole.tobytes()
-            idx = np.sort(rng.choice(whole.size, 1 + int(rng.integers(100)), replace=False))
-            assert b.exact(idx).tobytes() == whole[idx].tobytes()
-            offset += whole.size
-        assert offset == n
+        # past a plan of 5,000 samples the blocks go on, their noise drawn in turn
+        for plan in (n, 5_000):
+            offset = 0
+            for b in resonator._sim_blocks(params, rate, plan, n, 1e-3, 9):
+                whole = wave[offset:offset + b.ring.size]
+                assert b.exact(np.arange(whole.size)).tobytes() == whole.tobytes()
+                idx = np.sort(rng.choice(whole.size, 1 + int(rng.integers(100)), replace=False))
+                assert b.exact(idx).tobytes() == whole[idx].tobytes()
+                offset += whole.size
+            assert offset == n
 
     @pytest.mark.parametrize("blocks", [1, 2, HANDOFF - 1, HANDOFF, HANDOFF + 1, 57])
     @pytest.mark.parametrize("spare", [True, False])
@@ -417,7 +419,7 @@ class TestSimBlocks:
         rate, n = 41 * params.f0, blocks * resonator._SIM_BLOCK - 3
         wave = synth_waveform(params, rate, n / rate, noise_rms=1e-3, seed=9).samples
         ring = resonator._ring(*resonator._ring_constants(params), np.arange(n) / rate)
-        noise = np.concatenate([b.noise for b in resonator._sim_blocks(params, rate, n, 1e-3, 9)])
+        noise = np.concatenate([b.noise for b in resonator._sim_blocks(params, rate, n, n, 1e-3, 9)])
         assert noise.tobytes() == np.concatenate(serial_draws(9, 1e-3, n)).tobytes()
         assert (ring + noise).tobytes() == wave.tobytes()
 

@@ -3,7 +3,10 @@
 ``reference_simulate`` is that loop, kept here as a plain oracle together
 with the scalar capture model, the int64 edge recovery and the
 temporary-per-step synthesis it ran on.  Every result, trace row, trace
-CSV and error message must come out identical.
+CSV and error message must come out identical.  The oracle sizes its
+first record with the closed form and doubles it up to the simulator's
+budget until the counter stops in it; the simulator itself calls
+nothing of the closed form.
 """
 
 import functools
@@ -22,6 +25,7 @@ from qfm import (
     MeasurementConfig,
     MeasurementResult,
     ResonatorParams,
+    SampleBudgetError,
     SignAlignment,
     SimTrace,
     SimulationError,
@@ -34,12 +38,14 @@ from qfm import (
     synth_waveform,
 )
 from qfm import circuit, resonator
-from qfm.circuit import _predict_aligned, _resolve_signs, _rising_edges
-from qfm.counting import Failure, held_crossing, stop_threshold
+from qfm.circuit import _resolve_signs, _rising_edges
+from qfm.counting import Failure, first_crossing, held_crossing, stop_threshold
 
 FIRST = Convention.FIRST_AT_OR_BELOW
 LAST = Convention.LAST_ABOVE
 SIGNS = (SignAlignment.PLUS, SignAlignment.MINUS, SignAlignment.INDEPENDENT)
+# the failures of both paths, in one table's words
+MESSAGES = circuit._FAILURE_MESSAGES
 
 
 def reference_synth(params, rate, duration, noise_rms, seed):
@@ -70,55 +76,79 @@ def reference_capture(true_peak, f0, ni, hold):
     return max(0.0, true_peak * gain - drop + ni.opamp_offset)
 
 
+def record_length(params, config, ni, samples_per_period, seed):
+    """Samples in the record the reference reads first: the closed form's
+    crossing index m* plus 10 pseudo-periods, from one kernel call at the
+    run's signs (INDEPENDENT draws mix them); m* is 1 where the closed
+    form finds no crossing."""
+    s_div, s_cmp = _resolve_signs(ni, np.random.default_rng(seed))
+    env = circuit.detector_envelope(
+        params.q, params.f0, params.v0, ni, ni.opamp_offset, ni.leak_droop, ni.diode_residual
+    )
+    c = first_crossing(
+        env, config.k, config.convention, config.shortcut, s_div * ni.divider_error, s_cmp * ni.comparator_offset
+    )
+    return round((int(c.m) + 10) * derive_dynamics(params).pseudo_period * samples_per_period * params.f0)
+
+
 def reference_simulate(params, config, ni, samples_per_period, seed, synth=reference_synth):
     dyn = derive_dynamics(params)
     rng = np.random.default_rng(seed)
     s_div, s_cmp = _resolve_signs(ni, rng)
     noise_seed = int(rng.integers(0, 2**63 - 1))
-    _, m_star = _predict_aligned(params, config, ni, s_div, s_cmp)
     rate = samples_per_period * params.f0
-    v = synth(params, rate, (m_star + 10) * dyn.pseudo_period, ni.noise_rms, noise_seed)
-    edges = reference_edges(v, 4.0 * ni.noise_rms)
-    if edges.size == 0:
+    budget = circuit.MAX_SAMPLES
+    n = min(record_length(params, config, ni, samples_per_period, seed), budget)
+    while True:
+        # a record's complete cycles are those of any longer one, so the
+        # counter stops in it as in the whole budget
+        v = synth(params, rate, n / rate, ni.noise_rms, noise_seed)
+        edges = reference_edges(v, 4.0 * ni.noise_rms)
+        bounds = np.concatenate(([0], edges))
+        rows = []
+        captured_v0 = thr = None
+        counted = 0
+        stopped = False
+        for j in range(bounds.size - 1):
+            a, b = int(bounds[j]), int(bounds[j + 1])
+            seg = v[a:b]
+            i_rel = int(np.argmax(seg))
+            true_pk = float(seg[i_rel])
+            captured = reference_capture(max(true_pk, 0.0), params.f0, ni, (b - a) / rate)
+            t_pk = (a + i_rel) / rate
+            if j == 0:
+                captured_v0 = captured
+                if captured_v0 <= 0:
+                    raise SimulationError(MESSAGES[Failure.NO_SIGNAL].format(f0=params.f0))
+                thr = stop_threshold(captured_v0, config.k, s_div * ni.divider_error, s_cmp * ni.comparator_offset)
+                if thr < 0:
+                    raise SimulationError(MESSAGES[Failure.NEGATIVE_THRESHOLD].format(thr=thr))
+                rows.append(TraceRow(0, t_pk, true_pk, captured, thr, captured > thr))
+                continue
+            enable = captured > thr
+            rows.append(TraceRow(j, t_pk, true_pk, captured, thr, enable))
+            if not enable:
+                stopped = True
+                break
+            counted += 1
+        if stopped or n == budget:
+            break
+        n = min(2 * n, budget)
+    if not rows:
         raise SimulationError(
             f"the clock comparator never fired: no rising edge through its "
             f"+/-{4.0 * ni.noise_rms:.3g} V hysteresis (4 x noise_rms) in a ring-down "
             f"from v0={params.v0:.3g} V"
         )
-    bounds = np.concatenate(([0], edges))
-    rows = []
-    captured_v0 = thr = None
-    counted = 0
-    stopped = False
-    for j in range(bounds.size - 1):
-        a, b = int(bounds[j]), int(bounds[j + 1])
-        seg = v[a:b]
-        i_rel = int(np.argmax(seg))
-        true_pk = float(seg[i_rel])
-        captured = reference_capture(max(true_pk, 0.0), params.f0, ni, (b - a) / rate)
-        t_pk = (a + i_rel) / rate
-        if j == 0:
-            captured_v0 = captured
-            if captured_v0 <= 0:
-                raise SimulationError("captured initial amplitude is zero; no threshold can be formed")
-            thr = stop_threshold(captured_v0, config.k, s_div * ni.divider_error, s_cmp * ni.comparator_offset)
-            rows.append(TraceRow(0, t_pk, true_pk, captured, thr, captured > thr))
-            continue
-        enable = captured > thr
-        rows.append(TraceRow(j, t_pk, true_pk, captured, thr, enable))
-        if not enable:
-            stopped = True
-            break
-        counted += 1
     if not stopped:
-        raise SimulationError(
-            "signal decayed to the end of the simulation budget without the "
-            "stop logic completing; the threshold is unreachable or buried "
-            "in the noise floor"
+        raise SampleBudgetError(
+            f"the counter has not stopped within the simulator's budget of {budget} samples: "
+            f"{counted} cycles counted, the last held maximum {rows[-1].captured_peak:.4g} V "
+            f"against a threshold of {thr:.4g} V"
         )
     n = counted + 1 if config.convention is FIRST else counted
     if n < 1:
-        raise SimulationError("threshold crossed within the first pseudo-period; no decay was counted")
+        raise SimulationError(MESSAGES[Failure.NO_DECAY])
     if config.shortcut:
         q = 2.0 * n
     else:
@@ -181,7 +211,7 @@ def test_reference_corner_matches():
 
 
 PATHOLOGICAL = {
-    # raised by the simulator itself, after the closed form found a crossing
+    # the closed form finds a crossing
     "v0_zero": (
         ResonatorParams(f0=1e3, q=290.0, v0=2.8e-3),
         MeasurementConfig(14.0, LAST),
@@ -210,7 +240,7 @@ PATHOLOGICAL = {
         33,
         1596742471,
     ),
-    # raised by the closed form that sizes the record
+    # the closed form finds none
     "negative_threshold": (
         ResonatorParams(f0=50e3, q=300.0),
         MeasurementConfig(6.0, LAST),
@@ -235,9 +265,21 @@ PATHOLOGICAL = {
 }
 
 
+# budgets patched small, in the simulator and the reference alike: the
+# runs that never stop spend them, and no_edge's clock first fires at
+# sample 92,142 of its noise
+BUDGETS = {"no_edge": 2**14, "no_stop": 2**14, "unreachable": 2**14}
+
+
+def pathological(monkeypatch, name):
+    """PATHOLOGICAL[name], run at its budget."""
+    monkeypatch.setattr(circuit, "MAX_SAMPLES", BUDGETS.get(name, circuit.MAX_SAMPLES))
+    return PATHOLOGICAL[name]
+
+
 @pytest.mark.parametrize("name", sorted(PATHOLOGICAL))
-def test_pathological_configs_raise_the_same_message(name):
-    args = PATHOLOGICAL[name]
+def test_pathological_configs_raise_the_same_message(monkeypatch, name):
+    args = pathological(monkeypatch, name)
     with pytest.raises(SimulationError) as expected:
         reference_simulate(*args)
     with pytest.raises(SimulationError) as raised:
@@ -327,13 +369,6 @@ def assert_same_outcome(args):
     assert (result, trace.captured_v0, trace.threshold, trace.to_csv_string()) == reference_outcome(args)
 
 
-def record_length(params, config, ni, samples_per_period, seed):
-    """Samples in the record the run is capped at."""
-    rng = np.random.default_rng(seed)
-    _, m_star = _predict_aligned(params, config, ni, *_resolve_signs(ni, rng))
-    return round((m_star + 10) * derive_dynamics(params).pseudo_period * samples_per_period * params.f0)
-
-
 @pytest.mark.parametrize("block", TINY_BLOCKS)
 def test_draws_match_reference_at_tiny_blocks(monkeypatch, block):
     # the draws whose record spans at most 1,000 blocks and 300,000 samples
@@ -348,10 +383,11 @@ def test_draws_match_reference_at_tiny_blocks(monkeypatch, block):
 @pytest.mark.parametrize("block", TINY_BLOCKS)
 @pytest.mark.parametrize("name", ["v0_zero", "no_edge", "no_stop", "no_decay"])
 def test_failures_match_reference_at_tiny_blocks(monkeypatch, name, block):
-    # NO_SIGNAL, "never fired", UNREACHABLE at the cap and NO_DECAY
+    # NO_SIGNAL, "never fired", the budget spent and NO_DECAY
     monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
-    assert isinstance(reference_outcome(PATHOLOGICAL[name]), str)
-    assert_same_outcome(PATHOLOGICAL[name])
+    args = pathological(monkeypatch, name)
+    assert isinstance(reference_outcome(args), str)
+    assert_same_outcome(args)
 
 
 NOISELESS = (ResonatorParams(f0=50e3, q=300.0), MeasurementConfig(6.0, LAST), CircuitNonIdealities(), 50, 0)
@@ -386,7 +422,9 @@ def serve(monkeypatch, record, block, eps=0.0):
     ``block`` samples, approximate to within ``eps`` (see served_blocks)."""
     monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
     rng = np.random.default_rng(11)
-    monkeypatch.setattr(circuit, "_sim_blocks", lambda *a: served_blocks(record, block, eps, rng))
+    monkeypatch.setattr(
+        circuit, "_sim_blocks", lambda params, rate, plan, n, noise_rms, seed: served_blocks(record, block, eps, rng)
+    )
     return lambda *args: record.copy()
 
 
@@ -501,9 +539,9 @@ def perturbed_blocks(rng, floor):
     """The simulator's blocks with the approximate ring-down replaced by
     the exact one moved by up to 0.99 eps, uniformly, where eps is the
     block's bound raised to at least ``floor`` volts."""
-    def blocks(params, rate, n, noise_rms, seed):
+    def blocks(params, rate, plan, n, noise_rms, seed):
         offset = 0
-        for b in resonator._sim_blocks(params, rate, n, noise_rms, seed):
+        for b in resonator._sim_blocks(params, rate, plan, n, noise_rms, seed):
             eps = max(b.eps, floor)
             ring = eval_response(params, (offset + np.arange(b.ring.size)) / rate)
             ring += rng.uniform(-0.99 * eps, 0.99 * eps, ring.size)
@@ -517,8 +555,11 @@ def test_draws_match_reference_on_any_approximation_within_the_bound(monkeypatch
     monkeypatch.setattr(circuit, "_sim_blocks", perturbed_blocks(np.random.default_rng(12), floor))
     runs = [args for args in map(draw, range(60)) if record_length(*args) <= 300_000]
     assert len(runs) >= 15
-    for args in runs + [PATHOLOGICAL[name] for name in ("v0_zero", "no_edge", "no_stop", "no_decay")]:
+    for args in runs:
         assert_same_outcome(args)
+    for name in ("v0_zero", "no_edge", "no_stop", "no_decay"):
+        with monkeypatch.context() as patched:
+            assert_same_outcome(pathological(patched, name))
 
 
 @pytest.mark.parametrize("name", sorted(DOCTORED))
@@ -775,3 +816,50 @@ def test_forked_child_simulates_after_a_handed_off_run():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", FORK_PROBE], env=env, capture_output=True, text=True, timeout=60)
     assert (out.returncode, out.stdout.strip()) == (0, "0"), out.stderr
+
+
+# ---------------------------------------------------------------------------
+# the run decides on what it observes: it calls nothing of the closed form,
+# and the plan of its first blocks sets only where the blocks fall
+
+
+# the outcomes of unpatched runs
+unpatched_outcome = functools.cache(run_outcome)
+
+
+def test_runs_call_nothing_of_the_closed_form(monkeypatch):
+    runs = [draw(i) for i in range(60)] + [CORNER]
+    expected = [unpatched_outcome(args) for args in runs]
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("the sampled run called the closed form")
+
+    monkeypatch.setattr(circuit, "first_crossing", closed_form)
+    monkeypatch.setattr(circuit, "check_range", closed_form)
+    assert [run_outcome(args) for args in runs] == expected
+
+
+# the opamp offset holds the maxima up, so the counter stops at about
+# 3,070 pseudo-periods, past the plan's 1,807 (90,328 samples)
+PAST_THE_PLAN = (
+    ResonatorParams(f0=50e3, q=3000.0),
+    MeasurementConfig(6.0, LAST),
+    CircuitNonIdealities(opamp_offset=0.15, noise_rms=1e-4),
+    50,
+    3,
+)
+
+
+@pytest.mark.parametrize("plan", ["128 samples", "4 x the plan"])
+def test_the_plan_changes_no_bit(monkeypatch, spare_cpu, plan):
+    runs = [draw(i) for i in range(0, 60, 3)] + [CORNER, PAST_THE_PLAN]
+    expected = [unpatched_outcome(args) for args in runs]
+    params, _, _, spp, _ = PAST_THE_PLAN
+    stop_sample = float(expected[-1][0].t_measure) * spp * params.f0
+    assert stop_sample > 1.5 * circuit._planned_samples(params, PAST_THE_PLAN[1], spp)
+    planned = circuit._planned_samples
+    if plan == "128 samples":
+        monkeypatch.setattr(circuit, "_planned_samples", lambda *a: 128)
+    else:
+        monkeypatch.setattr(circuit, "_planned_samples", lambda *a: min(4 * planned(*a), circuit.MAX_SAMPLES))
+    assert [run_outcome(args) for args in runs] == expected
