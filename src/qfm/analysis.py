@@ -15,9 +15,14 @@ Every closed-form count here is one call of the crossing kernel in
 ``counting`` over a grid: (corner x Q) per k for ``worst_case_sweep``,
 whose exhaustive search evaluates the two extreme sign corners over Q
 and the whole sign box only over the Q cells they leave open,
-(corner x a block of Q) per k for ``optimal_k``, whose block envelopes
-are built once for all k and which stops scoring a k at the first block
-after which it cannot win, and a block of trials for ``monte_carlo``.
+(corner x a block of Q) per k for ``optimal_k``, and a block of trials
+for ``monte_carlo``.  ``optimal_k`` first bounds every k's metric from
+below on every ``_STRIDE``-th Q of the first block, a few k per call;
+the largest |error| over some of a k's cells never exceeds that over all
+of them, and a failing cell makes both inf.  It then scores the k in
+order of their bounds, block by block, stops a k at the first block
+after which it cannot win and stops the search at the first bound that
+cannot win, so it picks what scoring every cell picks.
 
 ``optimal_k`` picks the division factor minimizing the worst-case error
 over a Q range; larger k suppresses count quantization while making the
@@ -66,6 +71,8 @@ __all__ = [
 _MC_BLOCK = 8192
 # Q points per kernel call in optimal_k, the unit of its early exit
 _Q_BLOCK = 1024
+# optimal_k bounds each k on every _STRIDE-th Q of its first block
+_STRIDE = 4
 _ALIGNED_CORNERS = ((1.0, 1.0, 1.0, 1.0, 1.0), (-1.0, -1.0, 1.0, 1.0, 1.0))
 # the sign corner with the largest crossing index (divider +, comparator -,
 # opamp +, leak -, diode -) and its mirror, with the smallest
@@ -214,9 +221,10 @@ def _worst_corner(c):
     return n, q, error, valid.any(axis=0)
 
 
-def _worst_error(c) -> float:
-    """Largest |error| over the cells, inf if any cell fails."""
-    return float(np.max(np.abs(c.error))) if np.all(c.valid) else math.inf
+def _worst_error(c, axis=None):
+    """Largest |error| over the cells (along ``axis``), inf where any
+    of them fails."""
+    return np.max(np.where(c.valid, np.abs(c.error), math.inf), axis=axis)
 
 
 def optimal_k(
@@ -232,26 +240,42 @@ def optimal_k(
     Ties break toward smaller k, which also means a shorter measurement.
     The Q sampling step must resolve the count-quantization ripple
     (period roughly pi/ln k in Q) or the sampled maxima misrank nearby k.
-    Every k is scored on the first block of Q, then the k in order of
-    that score each go on block by block until they can no longer beat
-    the best k so far, which picks the same k as scoring every cell.
+
+    Every k's metric is first bounded from below on every ``_STRIDE``-th
+    Q of the first block, a chunk of k per kernel call of at most
+    2 x ``_Q_BLOCK`` cells: a maximum over some of the cells never
+    exceeds the maximum over all of them, and a failing cell among them
+    makes both inf.  The k then go in order of (bound, k), each scored
+    block by block until it can no longer beat the best k so far, and
+    the search stops at the first k whose bound cannot beat it: no later
+    k can.  So the pick is the one scoring every cell makes.
     """
     check_f0_v0(f0, v0)
     ks = check_k(list(k_grid))
     qs = expand_range(q_range)
     check_grid_size(len(_ALIGNED_CORNERS) * qs.size, f"the 2 corner x {qs.size} Q grid")
-    first, *rest = [
+    blocks = [
         _crossings(qs[start:start + _Q_BLOCK], ni, f0, v0, _ALIGNED_CORNERS)
         for start in range(0, qs.size, _Q_BLOCK)
     ]
+    sample = qs[:_Q_BLOCK:_STRIDE]
+    sampled = _crossings(sample, ni, f0, v0, _ALIGNED_CORNERS)
+    # k along axis 0, in chunks of at most 2 x _Q_BLOCK (k x corner x Q) cells
+    column, chunk = ks[:, None, None], _Q_BLOCK // sample.size
+    bounds = np.concatenate([
+        _worst_error(sampled(column[start:start + chunk], convention), axis=(1, 2))
+        for start in range(0, ks.size, chunk)
+    ])
     # (largest |error| so far, k): the smaller pair wins, so a tie goes to
     # the smaller k and a k with a failing cell (inf) never wins
     best = (math.inf, -math.inf)
-    for metric, k in sorted((_worst_error(first(k, convention)), k) for k in ks.tolist()):
-        for crossings in rest:
+    for metric, k in sorted(zip(bounds.tolist(), ks.tolist())):
+        if not (metric, k) < best:
+            break  # nor can any later k's bound
+        for crossings in blocks:
+            metric = max(metric, _worst_error(crossings(k, convention)))
             if not (metric, k) < best:
                 break
-            metric = max(metric, _worst_error(crossings(k, convention)))
         best = min(best, (metric, k))
     if best[1] == -math.inf:
         raise SimulationError(

@@ -501,10 +501,12 @@ def simulate_measurement(
     next, decided on approximate samples and exact where the
     approximation leaves a decision open.  The run ends with the block
     in which the counter stops, or raises SampleBudgetError when it has
-    not stopped within ``resonator.MAX_SAMPLES`` samples; nothing of the
-    closed form decides it.  The trace holds cycles 0 up to the one that
-    stopped the counter.  Deterministic for a given seed (which drives
-    the input noise and, for INDEPENDENT alignment, the error signs).
+    not stopped within ``resonator.MAX_SAMPLES`` samples, at once if the
+    run is noiseless and its ring-down has fallen to 0 V, after which no
+    cycle closes; nothing of the closed form decides it.  The trace
+    holds cycles 0 up to the one that stopped the counter.
+    Deterministic for a given seed (which drives the input noise and,
+    for INDEPENDENT alignment, the error signs).
     """
     if samples_per_period < 20:
         raise ValueError(
@@ -553,7 +555,7 @@ def simulate_measurement(
                 new = new[1:]
             if stops(new):  # only this block's maxima can hold a new stop
                 break
-        else:  # the budget is spent
+        else:  # the budget is spent, or all that is left of it is silent
             if not captured:
                 raise SimulationError(
                     f"the clock comparator never fired: no rising edge through its +/-{hysteresis:.3g} V "

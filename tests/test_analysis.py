@@ -438,10 +438,8 @@ class TestOptimalK:
         # the next best k must win
         def kernel(env, k, *args):
             c = first_crossing(env, k, *args)
-            if k == 4.25:
-                middle = (env.q > 500.0) & (env.q < 600.0)
-                c = dataclasses.replace(c, error=np.where(middle, 100.0 * c.error, c.error))
-            return c
+            middle = (env.q > 500.0) & (env.q < 600.0)
+            return dataclasses.replace(c, error=np.where((np.asarray(k) == 4.25) & middle, 100.0 * c.error, c.error))
 
         q_range, k_grid = (100.0, 1000.0, 0.05), np.arange(2.0, 20.01, 0.25)
         runner_up = optimal_k(q_range, PAIR, k_grid[k_grid != 4.25], f0=F0)
@@ -484,7 +482,47 @@ class TestOptimalK:
         assert optimal_k((100.0, 1000.0, 0.05), PAIR, k_grid, f0=F0) == 4.25
         full = k_grid.size * 2 * 18001
         assert cells and max(cells) <= 2 * B
-        assert sum(cells) < 0.35 * full
+        # 19 calls bound all 73 k on every _STRIDE-th Q of the first
+        # block; 21 more score the k that may win: 79,522 cells
+        assert len(cells) <= 40
+        assert sum(cells) < 0.031 * full
+
+    def test_same_k_on_seeded_draws(self):
+        # budgets whose aligned corners take the divider and comparator
+        # errors with both signs, offsets that fail some or every k, and
+        # k grids with duplicates
+        rng = np.random.default_rng(21)
+        for draw in range(100):
+            magnitude = rng.uniform(0.0, 1.0, 5) * (rng.uniform(size=5) < 0.7)
+            ni = CircuitNonIdealities(
+                divider_error=0.05 * magnitude[0],
+                comparator_offset=0.6 * magnitude[1] ** 3,
+                opamp_offset=0.05 * magnitude[2],
+                leak_droop=20.0 * magnitude[3],
+                diode_residual=0.2 * magnitude[4],
+            )
+            points = int(np.exp(rng.uniform(0.0, np.log(4000.0))))
+            lo, step = 10.0 ** rng.uniform(1.0, 4.0), 10.0 ** rng.uniform(-2.0, 1.0)
+            q_range = (lo, lo + (points - 1) * step, step)
+            k_grid = rng.choice(rng.uniform(1.05, 40.0, 60), int(rng.integers(1, 81)))
+            f0 = 10.0 ** rng.uniform(3.0, math.log10(2e6))
+            convention = list(Convention)[draw % 2]
+            expected = _outcome(reference_optimal_k, q_range, ni, k_grid, f0, convention=convention)
+            got = _outcome(optimal_k, q_range, ni, k_grid, f0, convention=convention)
+            assert got == expected, draw
+
+    def test_a_failing_cell_off_the_sample_counts(self):
+        # six points, every _STRIDE-th of which (0 and 4) the bound sees;
+        # only the last lies past Q = 4.8362e18, where k = 20's count
+        # passes 2^62 (k = 19.5's only past 4.877e18)
+        q_range = (4.72e18, 4.85e18, 2.6e16)
+        assert expand_range(q_range).size == 6
+        rows = worst_case_sweep([19.5, 20.0], q_range, IDEAL, f0=F0).rows
+        assert [row[2] is None for row in rows] == [False] * 11 + [True]
+        # without that cell k = 20 would win
+        assert optimal_k((4.72e18, 4.824e18, 2.6e16), IDEAL, [19.5, 20.0], f0=F0) == 20.0
+        assert optimal_k(q_range, IDEAL, [19.5, 20.0], f0=F0) == 19.5
+        assert reference_optimal_k(q_range, IDEAL, [19.5, 20.0], f0=F0) == 19.5
 
 
 class TestFrequencySweep:

@@ -320,6 +320,76 @@ class TestSampleBudget:
         assert served == [1000]
 
 
+class TestSilentRecord:
+    """A noiseless run ends at the first block where its exact envelope
+    v0 exp(-alpha t) is 0 at the block's first sample, with the message
+    the rest of its budget would give."""
+
+    # Q = 5 at 20 samples per period: the envelope underflows within
+    # about 24,000 samples, in the third block; the counter never stops
+    # over the 0.5 V offset
+    LOW_Q = ResonatorParams(f0=50e3, q=5.0)
+    UNREACHABLE = CircuitNonIdealities(opamp_offset=0.5)
+    # the envelope underflows before the first rising zero crossing
+    NO_EDGE = ResonatorParams(f0=50e3, q=0.500001)
+
+    @staticmethod
+    def served(monkeypatch, budget):
+        """The samples the run is served, with the budget patched."""
+        served = []
+
+        def counted(*args):
+            for block in resonator._sim_blocks(*args):
+                served.append(block.ring.size)
+                yield block
+
+        monkeypatch.setattr(circuit, "MAX_SAMPLES", budget)
+        monkeypatch.setattr(circuit, "_sim_blocks", counted)
+        return served
+
+    def test_every_exact_sample_after_the_end_is_zero(self):
+        rate = 20 * self.LOW_Q.f0
+        n = resonator.MAX_SAMPLES
+        blocks = list(resonator._sim_blocks(self.LOW_Q, rate, n, n, 0.0, 0))
+        end = sum(block.ring.size for block in blocks)
+        assert end < n
+        omega_d, c, neg_alpha, v0 = resonator._ring_constants(self.LOW_Q)
+        # the envelope as the exact kernel rounds it: a ring of no phase
+        envelope = resonator._ring(0.0, 0.0, neg_alpha, v0, np.array([end - blocks[-1].ring.size, end]) / rate)
+        assert envelope[0] > 0.0 and envelope[1] == 0.0
+        for start in range(end, n, 2**20):
+            t = np.arange(start, min(start + 2**20, n)) / rate
+            assert not resonator._ring(omega_d, c, neg_alpha, v0, t).any()
+
+    # blocks of 1,000 samples start where the envelope is subnormal: it
+    # still fires the comparator there, and the run must go on
+    @pytest.mark.parametrize("block", [resonator._SIM_BLOCK, 1000])
+    @pytest.mark.parametrize("params,error", [
+        (LOW_Q, "the counter has not stopped within the simulator's budget of 60000 samples"),
+        (NO_EDGE, "the clock comparator never fired"),
+    ])
+    def test_the_early_end_gives_the_spent_budget_message(self, monkeypatch, params, error, block):
+        monkeypatch.setattr(resonator, "_SIM_BLOCK", block)
+        served = self.served(monkeypatch, 60_000)
+        with pytest.raises(SimulationError, match=error) as early:
+            simulate_measurement(params, K6, self.UNREACHABLE, 20, seed=0)
+        assert 0 < sum(served) < 60_000
+        served.clear()
+        monkeypatch.setattr(resonator, "_silent_from", lambda noise_rms, envelope: False)
+        with pytest.raises(SimulationError) as spent:
+            simulate_measurement(params, K6, self.UNREACHABLE, 20, seed=0)
+        assert sum(served) == 60_000
+        assert type(early.value) is type(spent.value)
+        assert str(early.value) == str(spent.value)
+
+    def test_a_noisy_run_spends_its_budget(self, monkeypatch):
+        served = self.served(monkeypatch, 60_000)
+        ni = dataclasses.replace(self.UNREACHABLE, noise_rms=1e-3)
+        with pytest.raises(SampleBudgetError, match="budget of 60000 samples"):
+            simulate_measurement(self.LOW_Q, K6, ni, 20, seed=0)
+        assert sum(served) == 60_000
+
+
 class TestTraceRows:
     @pytest.fixture
     def built(self, monkeypatch):
