@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .tables import NA_MARKER, SweepTable, _format_distinct, write_text
+from .tables import NA_MARKER, SweepTable, write_text
 
 __all__ = ["svg_line_chart", "write_svg"]
 
@@ -152,6 +152,15 @@ def _groups(keys: np.ndarray, na: np.ndarray) -> list:
 
 def write_svg(table: SweepTable, dest, **kwargs) -> None:
     write_text(dest, svg_line_chart(table, **kwargs))
+
+
+def _format_distinct(values: np.ndarray, fmt) -> list:
+    """``fmt`` (float array -> list of str) applied once per distinct bit
+    pattern of ``values`` (-0.0 and 0.0 stay apart), gathered into place."""
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    if first.size == values.size:
+        return fmt(values)
+    return np.array(fmt(values[first]), dtype=object)[inverse].tolist()
 
 
 def _x_ticks(lo, hi, log_x):

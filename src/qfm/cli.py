@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import frequency_sweep, worst_case_sweep
-from .charts import write_svg
+from .charts import svg_line_chart
 from .circuit import (
     CircuitNonIdealities,
     SignAlignment,
@@ -349,9 +349,11 @@ def cmd_sweep(ns) -> int:
             seed=config.seed,
         )
         chart = dict(x="f0", series=None, log_x=True)
+    # the chart first: a table it cannot plot (exit 2) leaves neither file
+    svg = svg_line_chart(table, title=f"{ns.mode} sweep", **chart) if ns.svg else None
     table.to_csv(ns.out)
-    if ns.svg:
-        write_svg(table, ns.svg, title=f"{ns.mode} sweep", **chart)
+    if svg is not None:
+        write_text(ns.svg, svg)
     print(f"rows={len(table)} na={table.na_rows()} out={ns.out}")
     return EXIT_OK
 

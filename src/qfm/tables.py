@@ -4,8 +4,19 @@ Rows are kept in scan order.  A table stores one numpy array per column
 plus an NA mask for points where a measurement could not complete; NA
 cells are emitted as the explicit marker ``NA`` rather than NaN so
 downstream CSV consumers can tell a failed point from a numeric zero.
-A float column is formatted once per distinct value in each block of
-rows, and the strings are gathered back into place.
+
+CSV text is built one block of rows at a time; a float column is
+formatted once per distinct value in the block, by ``_shortest``, which
+gives each float exactly the text of ``format_number`` without ``repr``.
+It scales |x| to S = |x| 10^p in [1e16, 1e17) as an int64 plus a fraction
+by Dekker's exact product (exact for p <= 22; up to p = 44, 10^p is an
+exact double-double and S errs by under 1e-14).  repr's digits are the
+multiple of 10^J nearest S for the largest J within half an ulp of S
+(under 12); at most one multiple of 100 lies that close, so J = 0, J = 1
+and that multiple with its trailing zeros are all there is to check.  A
+decision within 1e-6 of its boundary, a power of two outside [1, 1e16)
+(half the gap below), nonzero |x| outside [1e-27, 1e17), nan and inf go
+to ``repr``.
 """
 
 from __future__ import annotations
@@ -35,35 +46,149 @@ def format_number(x) -> str:
     return r[:-2] if r.endswith(".0") else r
 
 
-def _format_column(values: np.ndarray, na: np.ndarray) -> list:
-    """``format_number`` over a whole column."""
+def _column_text(values: np.ndarray, na: np.ndarray) -> np.ndarray:
+    """One column of a block as a uint8 matrix, a row per cell padded
+    with NUL bytes (dropped when the block is joined)."""
+    if values.dtype.kind == "f":
+        cells = _float_text(np.where(na, 0.0, values.astype(float, copy=False)))
+        cells[na] = 0
+        cells[na, :2] = np.frombuffer(NA_MARKER.encode(), np.uint8)
+        return cells
     if values.dtype == bool:
-        cells = ["1" if v else "0" for v in values.tolist()]
+        texts = ["1" if v else "0" for v in values.tolist()]
     elif values.dtype.kind in "iu":
-        cells = list(map(str, values.tolist()))
-    elif values.dtype.kind == "f":
-        cells = _format_distinct(values.astype(float, copy=False), _repr_cells)
+        texts = list(map(str, values.tolist()))
     else:  # an object column, such as Python ints past int64
-        cells = list(map(format_number, values.tolist()))
+        texts = list(map(format_number, values.tolist()))
     for i in np.flatnonzero(na).tolist():
-        cells[i] = NA_MARKER
-    return cells
+        texts[i] = NA_MARKER
+    return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
 
 
-def _format_distinct(values: np.ndarray, fmt) -> list:
-    """``fmt`` (float array -> list of str) applied once per distinct bit
-    pattern of ``values`` (-0.0 and 0.0 stay apart), gathered into place."""
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """``_shortest`` once per distinct bit pattern of ``values`` (-0.0
+    and 0.0 stay apart), gathered into place."""
     _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
     if first.size == values.size:
-        return fmt(values)
-    return np.array(fmt(values[first]), dtype=object)[inverse].tolist()
+        return _shortest(values)
+    return np.take(_shortest(values[first]), inverse, axis=0)
 
 
-def _repr_cells(values: np.ndarray) -> list:
-    # shortest repr; only an integral value's repr can end in ".0"
-    cells = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(values == np.trunc(values)).tolist():
-        cells[i] = cells[i].removesuffix(".0")
+# Tables of _shortest.  10^p = hi + lo exactly for p <= 44 (5^44 has 103
+# bits); Dekker splits hi in halves of 26 bits.
+_POW10 = [10**p for p in range(45)]
+_SPLIT = 134217729.0  # 2**27 + 1
+_P_HI = np.array(_POW10, dtype=float)
+_P_HI_HI = _P_HI * _SPLIT - (_P_HI * _SPLIT - _P_HI)
+_P = np.array([_P_HI, _P_HI_HI, _P_HI - _P_HI_HI,
+               [n - int(h) for n, h in zip(_POW10, _P_HI.tolist())]], dtype=float)
+# A cell is 6 little-endian int64 words: the sign, "0." and up to 3 zeros,
+# then 17 digits each followed by a byte for the point, then "e-dd".
+_TENS = np.arange(100) // 10
+_MOD10 = np.arange(100) - 10 * _TENS
+_PAIR = (_TENS + 48) | (_MOD10 + 48) << 16
+_HI2 = np.arange(10_000) // 100
+_LO2 = np.arange(10_000) - 100 * _HI2
+_QUAD = _PAIR[_HI2] | _PAIR[_LO2] << 32  # 4 digits as a word
+# S's digits 1-16 come in 4 groups of 4; a nonzero group i puts the end of
+# the significant digits at its last nonzero digit, the leading digit at 1
+_LAST_NZ = np.sign(np.arange(100)) + (_MOD10 > 0)
+_SIG = np.where(_LO2 > 0, 2 + _LAST_NZ[_LO2], _LAST_NZ[_HI2]) + np.arange(1, 16, 4)[:, None]
+_SIG[:, 0] = [1, 0, 0, 0]
+# column k: the first k digits of words 1-4 (digit 0 lives in word 0)
+_KEEP = np.array([0, 0xFF, 0xFF00FF, 0xFF00FF00FF, 0xFF00FF00FF00FF])[
+    np.clip(np.arange(18) - np.arange(1, 16, 4)[:, None], 0, 4)]
+_E_MIN, _E_MAX = -28, 17
+
+
+def _layouts():
+    """Per exponent e10 of the leading digit, from ``_E_MIN``: word 0 with
+    the sign (plain, then "-") and "0." with its zeros, word 5 ("e-dd"),
+    the last digit before the point, and the digit count past which a
+    point follows it.  repr writes -4 <= e10 <= 15 in fixed layout."""
+    head, tail, last, point_after = [], [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        fixed = -4 <= e <= 15
+        prefix = "0." + "0" * (-e - 1) if fixed and e < 0 else ""
+        head += [int.from_bytes((sign + prefix).encode(), "little") for sign in ("", "-")]
+        tail.append(0 if fixed else int.from_bytes(f"e{e:+03d}".encode(), "little"))
+        last.append(max(e, 0) if fixed else 0)
+        point_after.append(17 if fixed and e < 0 else last[-1] + 1)
+    return tuple(map(np.array, (head, tail, last, point_after)))
+
+
+_HEAD, _TAIL, _LAST, _POINT_AFTER = _layouts()
+
+
+def _scaled(a: np.ndarray, p: np.ndarray):
+    """a * 10**p as int64 n and a fraction f, with 10**p's high part."""
+    hi, h_hi, h_lo, lo = np.take(_P, p, axis=1)
+    prod = a * hi
+    a_hi = a * _SPLIT - (a * _SPLIT - a)
+    a_lo = a - a_hi
+    t = (((a_hi * h_hi - prod) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * lo
+    whole = np.floor(t)
+    return prod.astype(np.int64) + whole.astype(np.int64), t - whole, hi
+
+
+def _shortest(x: np.ndarray) -> np.ndarray:
+    """``format_number`` of each float64 of ``x`` as a row of 48 bytes,
+    NUL-padded."""
+    bits = x.view(np.int64)
+    a = np.abs(x)
+    zero = a == 0
+    slow = ~(zero | ((a >= 1e-27) & (a < 1e17)))
+    slow |= ((bits & 0xFFFFFFFFFFFFF) == 0) & ((a < 1) | (a >= 1e16)) & ~zero
+    a[slow | zero] = 1.0
+    p = np.maximum(16 - np.floor(np.log10(a)).astype(np.int64), 0)  # at most 44
+    n, f, hi = _scaled(a, p)
+    off = (n < 10**16) | (n >= 10**17)  # log10 rounded across a power of 10
+    if off.any():
+        p[off] = np.clip(p[off] + np.where(n[off] < 10**16, 1, -1), 0, 44)
+        n[off], f[off], hi[off] = _scaled(a[off], p[off])
+        slow |= (n < 10**16) | (n >= 10**17)
+    # half an ulp of a, from its exponent bits, in units of S
+    h = ((a.view(np.int64) & 0x7FF0000000000000) - (53 << 52)).view(float) * hi
+    n100 = n // 100
+    r100 = n - n100 * 100
+    r10 = np.take(_MOD10, r100)
+    d100, d10 = r100 + f, r10 + f
+    up100, up10 = d100 > 50, d10 > 5
+    dist100 = np.where(up100, 100 - d100, d100)
+    dist10 = np.where(up10, 10 - d10, d10)
+    j100, j10 = dist100 < h, dist10 < h
+    # a decision near its boundary, where it counts, takes repr's path
+    slow |= (np.abs(dist100 - h) < 1e-6) | ~j100 & (
+        (np.abs(dist10 - h) < 1e-6) | (np.where(j10, np.abs(d10 - 5), np.abs(f - 0.5)) < 1e-6))
+    n = np.where(j100, (n100 + up100) * 100, np.where(j10, n - r10 + 10 * up10, n + (f > 0.5)))
+    e = 16 - _E_MIN - p  # the row of e10 in the layout tables
+    top = n == 10**17
+    n[top] = 10**16
+    e += top
+    lead = n // 10**16
+    rest = n - lead * 10**16
+    hi8 = rest // 10**8
+    lo8 = rest - hi8 * 10**8
+    g0, g2 = hi8 // 10**4, lo8 // 10**4
+    groups = (g0, hi8 - g0 * 10**4, g2, lo8 - g2 * 10**4)
+    lead[zero] = 0
+    last = np.take(_LAST, e)
+    words = np.empty((6, x.size), np.int64)
+    words[0] = np.take(_HEAD, 2 * e + (bits < 0)) | (lead + 48) << 48
+    nsig = np.take(_SIG[0], g0)
+    for i, g in enumerate(groups):
+        np.take(_QUAD, g, out=words[1 + i], mode="clip")
+        if i:
+            np.maximum(nsig, np.take(_SIG[i], g), out=nsig)
+    words[1:5] &= np.take(_KEEP, np.maximum(nsig, last + 1), axis=1)
+    np.take(_TAIL, e, out=words[5], mode="clip")
+    cells = words.T.copy().view(np.uint8)
+    point = np.flatnonzero(nsig > np.take(_POINT_AFTER, e))
+    cells[point, 7 + 2 * last[point]] = 46
+    for i in np.flatnonzero(slow).tolist():
+        text = format_number(x[i]).encode()
+        cells[i] = 0
+        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
     return cells
 
 
@@ -150,8 +275,11 @@ class SweepTable:
         yield ",".join(self.columns) + "\n"
         for start in range(0, len(self), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
-            cells = zip(*(_format_column(values[rows], na[rows]) for values, na in data))
-            yield "\n".join(map(",".join, cells)) + "\n"
+            columns = [_column_text(values[rows], na[rows]) for values, na in data]
+            comma = np.full((len(columns[0]), 1), ord(","), np.uint8)
+            block = np.hstack([m for column in columns for m in (column, comma)])
+            block[:, -1] = ord("\n")
+            yield block.tobytes().translate(None, b"\0").decode("ascii")
 
     def to_csv_string(self) -> str:
         return "".join(self._csv_pieces())

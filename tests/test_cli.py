@@ -199,6 +199,20 @@ class TestSweep:
 
         ET.fromstring(out_svg.read_text())
 
+    def test_unplottable_svg_writes_neither_file(self, capsys, tmp_path):
+        # Q past the float range of the count: every row is NA, which the
+        # table holds but the chart cannot plot
+        out_csv, out_svg = tmp_path / "x.csv", tmp_path / "x.svg"
+        argv = ["sweep", "theoretical", "--k", "2", "--q", "1e300:1e301:1e299", "--out", str(out_csv)]
+        code, out, err = run(capsys, *argv, "--svg", str(out_svg))
+        assert code == 2
+        assert out == ""
+        assert err == "error: nothing to plot: every row has missing cells\n"
+        assert not out_csv.exists() and not out_svg.exists()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == f"rows=91 na=91 out={out_csv}\n"
+
     def test_na_rows_counted(self, capsys, tmp_path):
         # a 0.25 V opamp offset holds every maximum above the k = 6
         # threshold (0.25 * (k - 1) > v0) but not above the k = 4 one

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfm import SweepTable
+from qfm import (
+    CircuitNonIdealities,
+    ResonatorParams,
+    SweepTable,
+    synth_waveform,
+    tables,
+    waveform_to_csv,
+    worst_case_sweep,
+)
 from qfm.tables import _CSV_BLOCK, format_number
 
 
@@ -181,3 +189,93 @@ class TestCsvAgainstPerCell:
         table = SweepTable(columns=("z",))
         table.extend(np.array([0.0, -0.0, 0.0, -0.0]))
         assert table.to_csv_string() == "z\n0\n-0\n0\n-0\n"
+
+
+def _neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([s * v for s in (1.0, -1.0) for v in (x, np.nextafter(x, 0), np.nextafter(x, np.inf))])
+
+
+class TestShortestFloatText:
+    """The vectorised float formatter against ``repr``, through
+    ``format_number`` cell by cell."""
+
+    def test_seeded_oracle(self):
+        rng = np.random.default_rng(20_261_020)
+        n = 125_000
+        values = np.concatenate([
+            rng.normal(size=n),
+            rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-30, 18, n),
+            rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True).view(np.float64),
+            np.arange(n) / 2.5e6,
+            np.arange(n) / 44_100.0 + 3.0,
+            rng.integers(-(2**53), 2**53, n, endpoint=True).astype(float),
+            rng.integers(1, 10**6, n) / 10.0 ** rng.integers(0, 22, n),
+            np.round(rng.uniform(-1e4, 1e4, n), 3),
+            _neighbours(np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                                        [float(f"1e{k}") for k in range(-323, 309)]])),
+            # fmod's slow range, the exponent trap, the top of the int path
+            1e15 + rng.uniform(-1e3, 1e3, 2048), [9.999999999999999e-16, 72057594037927937.0, -0.0, 0.0],
+        ])
+        assert values.size > 10**6
+        table = SweepTable(columns=("x",))
+        table.extend(values)
+        assert table.to_csv_string() == per_cell_csv(table)
+
+    def test_int_and_bool_columns_stay_integers(self):
+        ints = np.array([-(2**63), 2**63 - 1, 72057594037927937, 2**53 + 1, 10**16, -1, 0])
+        table = SweepTable(columns=("n", "b", "x"))
+        table.extend(ints, ints % 2 == 0, -ints.astype(float),
+                     na=(None, None, np.arange(ints.size) % 3 == 0))
+        text = table.to_csv_string()
+        assert text == per_cell_csv(table)
+        assert "-9223372036854775808,1,NA\n9223372036854775807,0,-9.223372036854776e+18\n" in text
+        assert "\n72057594037927937,0," in text
+
+    def test_powers_of_ten_split_exactly(self):
+        for p in range(tables._P.shape[1]):
+            assert int(tables._P[0, p]) + int(tables._P[3, p]) == 10**p
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The values the writer hands to ``format_number``, its exact path."""
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return format_number(x)
+
+    monkeypatch.setattr(tables, "format_number", counted)
+    return seen
+
+
+class TestFallback:
+    def test_none_on_a_noisy_record(self, fallbacks):
+        wave = synth_waveform(ResonatorParams(f0=50e3, q=300.0, v0=1.0), 2.5e6, 60_000 / 2.5e6,
+                              noise_rms=1e-3, seed=7)
+        assert len(wave) == 60_000
+        out = io.StringIO()
+        waveform_to_csv(wave, out)
+        assert out.getvalue().count("\n") == 60_001
+        assert fallbacks == []
+
+    def test_none_on_criterion_05_table(self, fallbacks):
+        pair = CircuitNonIdealities(comparator_offset=10e-3, divider_error=0.01)
+        table = worst_case_sweep(np.arange(4.0, 8.01, 0.25), (100.0, 1000.0, 0.5), pair, f0=50e3)
+        assert table.to_csv_string() == per_cell_csv(table)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("x", [
+        float("nan"), NAN_PAYLOAD, float("inf"), float("-inf"),  # not finite
+        5e-324, -1e-28, 1e17, 1e300,  # outside [1e-27, 1e17)
+        0.5, -2.0**-40,  # non-integral powers of two: half a gap below
+        2.0**54,  # a power of two past 1e16 (integral but for that)
+        2.0**54 + 8,  # the multiple of 10 below is exactly half an ulp away
+        2.0**50 + 0.25,  # 17 digits, and S = a * 10 lies halfway between two integers
+    ])
+    def test_each_kind_falls_back(self, fallbacks, x):
+        table = SweepTable(columns=("x",))
+        table.extend(np.array([x, 1.5]))
+        assert table.to_csv_string() == f"x\n{format_number(x)}\n1.5\n"
+        assert len(fallbacks) == 1
