@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .tables import NA_MARKER, SweepTable, write_text
+from .tables import NA_MARKER, SweepTable, per_distinct, write_text
 
 __all__ = ["svg_line_chart", "write_svg"]
 
@@ -116,10 +116,11 @@ def svg_line_chart(
         f"|{_Y}| [%]</text>"
     )
 
-    xcells = _format_distinct(px(xts), lambda a: [f"{v:.2f}" for v in a.tolist()])
+    # an object array, so that repeated x positions share one str
+    xcells = per_distinct(px(xts), lambda a: np.array([f"{v:.2f}" for v in a.tolist()], dtype=object))
     for idx, (label, at) in enumerate(groups):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = zip(map(xcells.__getitem__, at.tolist()), py(ys[at]).tolist())
+        points = zip(xcells[at].tolist(), py(ys[at]).tolist())
         coords = " ".join([f"{a},{b:.2f}" for a, b in points])
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
@@ -152,15 +153,6 @@ def _groups(keys: np.ndarray, na: np.ndarray) -> list:
 
 def write_svg(table: SweepTable, dest, **kwargs) -> None:
     write_text(dest, svg_line_chart(table, **kwargs))
-
-
-def _format_distinct(values: np.ndarray, fmt) -> list:
-    """``fmt`` (float array -> list of str) applied once per distinct bit
-    pattern of ``values`` (-0.0 and 0.0 stay apart), gathered into place."""
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    if first.size == values.size:
-        return fmt(values)
-    return np.array(fmt(values[first]), dtype=object)[inverse].tolist()
 
 
 def _x_ticks(lo, hi, log_x):

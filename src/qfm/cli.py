@@ -175,6 +175,8 @@ class RunConfig:
             if kind == "int":
                 if value != int(value):
                     raise ValueError(f"integer key {key!r} got {raw!r}")
+                if value < 0:
+                    raise ValueError(f"integer key {key!r} must be >= 0, got {raw!r}")
                 value = int(value)
         setattr(self, key, value)
 

@@ -246,65 +246,27 @@ def _exact_samples(constants, sample_rate, offset, noise, idx):
     return v
 
 
-class _Draws:
-    """A run's handed-off noise: its generator and scale, whether the run
-    has closed, and the blocks drawn for it, in order."""
-
-    def __init__(self, rng, noise_rms):
-        import queue
-
-        self.rng, self.noise_rms = rng, noise_rms
-        self.closed = False
-        self.drawn = queue.SimpleQueue()
+# Runs that hand off put their jobs on _jobs as (function, size).  One
+# daemon thread, qfm-noise, started by the first such run, calls
+# function(size) for each in the order queued, then waits, idle, for more.
+_jobs = None
+_jobs_lock = threading.Lock()
 
 
-class _Drawer:
-    """One daemon thread that draws the blocks runs queue as
-    ``(draws, size)``, in the order queued, and skips those of closed
-    runs.  A draw that raises closes its run and hands the caller the
-    exception."""
-
-    def __init__(self):
-        import queue
-
-        self.jobs = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="qfm-noise", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            draws, size = self.jobs.get()
-            if draws.closed:
-                continue
-            try:
-                noise = draws.rng.normal(0.0, draws.noise_rms, size)
-            except Exception as exc:  # raised again in the caller's thread
-                draws.closed = True
-                noise = exc
-            draws.drawn.put(noise)
-
-
-_drawer = None
-_drawer_lock = threading.Lock()
-
-
-def _forget_drawer():
+def _forget_jobs():
     # a forked child has none of its parent's threads: it starts its own
-    global _drawer, _drawer_lock
-    _drawer, _drawer_lock = None, threading.Lock()
+    global _jobs, _jobs_lock
+    _jobs, _jobs_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_drawer)
+    os.register_at_fork(after_in_child=_forget_jobs)
 
 
-def _the_drawer() -> _Drawer:
-    """The process's drawer, started on the first run that hands off; it
-    then waits, idle, for the next one."""
-    global _drawer
-    with _drawer_lock:
-        if _drawer is None:
-            _drawer = _Drawer()
-        return _drawer
+def _serve(jobs):
+    while True:
+        function, size = jobs.get()
+        function(size)
 
 
 def _spare_cpu() -> bool:
@@ -328,6 +290,7 @@ def _noise_blocks(rng, noise_rms: float, n: int):
     ``_LOOKAHEAD`` past the block in use, while the caller works on
     it.  Closing the generator drops the draws not yet started.
     """
+    global _jobs
     sizes = [min(_SIM_BLOCK, n - offset) for offset in range(0, n, _SIM_BLOCK)]
     if rng is None:
         yield from itertools.repeat(None, len(sizes))
@@ -336,23 +299,41 @@ def _noise_blocks(rng, noise_rms: float, n: int):
         for size in sizes:
             yield rng.normal(0.0, noise_rms, size)
         return
+    import queue
+
+    with _jobs_lock:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_jobs,), name="qfm-noise", daemon=True).start()
+        jobs = _jobs
     first = rng.normal(0.0, noise_rms, sizes[0])
-    draws, drawer = _Draws(rng, noise_rms), _the_drawer()
-    queued = iter(sizes[1:])
+    drawn, closed, queued = queue.SimpleQueue(), False, iter(sizes[1:])
+
+    def draw(size):
+        # a job of the run: nothing once the run has closed
+        nonlocal closed
+        if closed:
+            return
+        try:
+            drawn.put(rng.normal(0.0, noise_rms, size))
+        except Exception as exc:  # raised again in the caller's thread
+            closed = True
+            drawn.put(exc)
+
     try:
         for size in itertools.islice(queued, _LOOKAHEAD):
-            drawer.jobs.put((draws, size))
+            jobs.put((draw, size))
         yield first
         for _ in sizes[1:]:
-            noise = draws.drawn.get()
+            noise = drawn.get()
             if isinstance(noise, Exception):
                 raise noise
             size = next(queued, None)
             if size is not None:
-                drawer.jobs.put((draws, size))
+                jobs.put((draw, size))
             yield noise
     finally:
-        draws.closed = True
+        closed = True
 
 
 def _silent_from(noise_rms: float, envelope: float) -> bool:

@@ -50,7 +50,7 @@ def _column_text(values: np.ndarray, na: np.ndarray) -> np.ndarray:
     """One column of a block as a uint8 matrix, a row per cell padded
     with NUL bytes (dropped when the block is joined)."""
     if values.dtype.kind == "f":
-        cells = _float_text(np.where(na, 0.0, values.astype(float, copy=False)))
+        cells = per_distinct(np.where(na, 0.0, values.astype(float, copy=False)), _shortest)
         cells[na] = 0
         cells[na, :2] = np.frombuffer(NA_MARKER.encode(), np.uint8)
         return cells
@@ -65,13 +65,13 @@ def _column_text(values: np.ndarray, na: np.ndarray) -> np.ndarray:
     return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
 
 
-def _float_text(values: np.ndarray) -> np.ndarray:
-    """``_shortest`` once per distinct bit pattern of ``values`` (-0.0
-    and 0.0 stay apart), gathered into place."""
+def per_distinct(values: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` (float array -> array, a row per value) once per distinct
+    bit pattern of ``values`` (-0.0 and 0.0 stay apart), gathered into place."""
     _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
     if first.size == values.size:
-        return _shortest(values)
-    return np.take(_shortest(values[first]), inverse, axis=0)
+        return fmt(values)
+    return np.take(fmt(values[first]), inverse, axis=0)
 
 
 # Tables of _shortest.  10^p = hi + lo exactly for p <= 44 (5^44 has 103

@@ -467,6 +467,24 @@ class TestSchema:
         code, out, err = run(capsys, "simulate", "--config", str(cfg))
         assert (code, out, err) == (2, "", f"error: {cfg}:2: integer key {key!r} got '20.5'\n")
 
+    # synth without noise draws nothing and dump-config runs nothing: they
+    # refuse the value itself, as simulate does
+    @pytest.mark.parametrize(
+        "key, command",
+        [("spp", "simulate"), ("seed", "simulate"), ("seed", "synth"), ("spp", "dump-config"), ("seed", "dump-config")],
+    )
+    def test_negative_integer_key_exits_2(self, capsys, tmp_path, key, command):
+        message = f"integer key {key!r} must be >= 0, got '-1'\n"
+        out_csv = tmp_path / "out.csv"
+        argv = (command, "--out", str(out_csv)) if command == "synth" else (command,)
+        code, out, err = run(capsys, *argv, f"--{key}", "-1")
+        assert (code, out, err) == (2, "", f"error: {message}")
+        assert not out_csv.exists()
+        cfg = tmp_path / "int.cfg"
+        cfg.write_text(f"# integer keys\n{key} = -1\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {cfg}:2: {message}")
+
     @pytest.mark.parametrize("key", ["convention", "sign"])
     def test_invalid_enum_key_exits_2_in_dump_config(self, capsys, tmp_path, key):
         code, out, err = run(capsys, "dump-config", f"--{key}", "bogus")

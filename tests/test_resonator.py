@@ -293,10 +293,10 @@ def serial_draws(seed, noise_rms, n):
 
 
 def drawer_idle():
-    """Wait until the drawer has served every draw queued so far."""
-    probe = resonator._Draws(np.random.default_rng(0), 1.0)
-    resonator._the_drawer().jobs.put((probe, 1))
-    probe.drawn.get(timeout=30)
+    """Wait until the worker has run every job queued so far."""
+    done = threading.Event()
+    resonator._jobs.put((lambda size: done.set(), 0))
+    assert done.wait(30)
 
 
 def wait_for(condition, timeout=30.0):

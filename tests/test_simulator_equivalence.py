@@ -801,7 +801,7 @@ resonator._spare_cpu = lambda: True
 args = (ResonatorParams(f0=1e6, q=20000.0), MeasurementConfig(10.0, Convention.FIRST_AT_OR_BELOW),
         CircuitNonIdealities(noise_rms=1e-4), 59, 0)
 parent = simulate_measurement(*args)[1].to_csv_string()
-assert resonator._drawer is not None
+assert resonator._jobs is not None
 pid = os.fork()
 if pid == 0:
     signal.alarm(20)  # a child left waiting on its parent's worker ends

@@ -130,6 +130,52 @@ def per_cell_csv(table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([s * v for s in (1.0, -1.0) for v in (x, np.nextafter(x, 0), np.nextafter(x, np.inf))])
+
+
+class TestShortestFloatText:
+    """The vectorised float formatter against ``repr``, through
+    ``format_number`` cell by cell."""
+
+    def test_seeded_oracle(self):
+        rng = np.random.default_rng(20_261_020)
+        n = 125_000
+        values = np.concatenate([
+            rng.normal(size=n),
+            rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-30, 18, n),
+            rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True).view(np.float64),
+            np.arange(n) / 2.5e6,
+            np.arange(n) / 44_100.0 + 3.0,
+            rng.integers(-(2**53), 2**53, n, endpoint=True).astype(float),
+            rng.integers(1, 10**6, n) / 10.0 ** rng.integers(0, 22, n),
+            np.round(rng.uniform(-1e4, 1e4, n), 3),
+            _neighbours(np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                                        [float(f"1e{k}") for k in range(-323, 309)]])),
+            # fmod's slow range, the exponent trap, the top of the int path
+            1e15 + rng.uniform(-1e3, 1e3, 2048), [9.999999999999999e-16, 72057594037927937.0, -0.0, 0.0],
+        ])
+        assert values.size > 10**6
+        table = SweepTable(columns=("x",))
+        table.extend(values)
+        assert table.to_csv_string() == per_cell_csv(table)
+
+    def test_int_and_bool_columns_stay_integers(self):
+        ints = np.array([-(2**63), 2**63 - 1, 72057594037927937, 2**53 + 1, 10**16, -1, 0])
+        table = SweepTable(columns=("n", "b", "x"))
+        table.extend(ints, ints % 2 == 0, -ints.astype(float),
+                     na=(None, None, np.arange(ints.size) % 3 == 0))
+        text = table.to_csv_string()
+        assert text == per_cell_csv(table)
+        assert "-9223372036854775808,1,NA\n9223372036854775807,0,-9.223372036854776e+18\n" in text
+        assert "\n72057594037927937,0," in text
+
+    def test_powers_of_ten_split_exactly(self):
+        for p in range(tables._P.shape[1]):
+            assert int(tables._P[0, p]) + int(tables._P[3, p]) == 10**p
+
+
 NAN_PAYLOAD = float(np.array([0x7FF8000000000001]).view(np.float64)[0])
 SPECIAL = (
     0.0, -0.0, float("inf"), float("-inf"), float("nan"), NAN_PAYLOAD, 1e16,
@@ -189,52 +235,6 @@ class TestCsvAgainstPerCell:
         table = SweepTable(columns=("z",))
         table.extend(np.array([0.0, -0.0, 0.0, -0.0]))
         assert table.to_csv_string() == "z\n0\n-0\n0\n-0\n"
-
-
-def _neighbours(x):
-    x = np.asarray(x, dtype=float)
-    return np.concatenate([s * v for s in (1.0, -1.0) for v in (x, np.nextafter(x, 0), np.nextafter(x, np.inf))])
-
-
-class TestShortestFloatText:
-    """The vectorised float formatter against ``repr``, through
-    ``format_number`` cell by cell."""
-
-    def test_seeded_oracle(self):
-        rng = np.random.default_rng(20_261_020)
-        n = 125_000
-        values = np.concatenate([
-            rng.normal(size=n),
-            rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-30, 18, n),
-            rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True).view(np.float64),
-            np.arange(n) / 2.5e6,
-            np.arange(n) / 44_100.0 + 3.0,
-            rng.integers(-(2**53), 2**53, n, endpoint=True).astype(float),
-            rng.integers(1, 10**6, n) / 10.0 ** rng.integers(0, 22, n),
-            np.round(rng.uniform(-1e4, 1e4, n), 3),
-            _neighbours(np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
-                                        [float(f"1e{k}") for k in range(-323, 309)]])),
-            # fmod's slow range, the exponent trap, the top of the int path
-            1e15 + rng.uniform(-1e3, 1e3, 2048), [9.999999999999999e-16, 72057594037927937.0, -0.0, 0.0],
-        ])
-        assert values.size > 10**6
-        table = SweepTable(columns=("x",))
-        table.extend(values)
-        assert table.to_csv_string() == per_cell_csv(table)
-
-    def test_int_and_bool_columns_stay_integers(self):
-        ints = np.array([-(2**63), 2**63 - 1, 72057594037927937, 2**53 + 1, 10**16, -1, 0])
-        table = SweepTable(columns=("n", "b", "x"))
-        table.extend(ints, ints % 2 == 0, -ints.astype(float),
-                     na=(None, None, np.arange(ints.size) % 3 == 0))
-        text = table.to_csv_string()
-        assert text == per_cell_csv(table)
-        assert "-9223372036854775808,1,NA\n9223372036854775807,0,-9.223372036854776e+18\n" in text
-        assert "\n72057594037927937,0," in text
-
-    def test_powers_of_ten_split_exactly(self):
-        for p in range(tables._P.shape[1]):
-            assert int(tables._P[0, p]) + int(tables._P[3, p]) == 10**p
 
 
 @pytest.fixture
