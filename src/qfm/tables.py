@@ -5,9 +5,13 @@ plus an NA mask for points where a measurement could not complete; NA
 cells are emitted as the explicit marker ``NA`` rather than NaN so
 downstream CSV consumers can tell a failed point from a numeric zero.
 
-CSV text is built one block of rows at a time; a float column is
-formatted once per distinct value in the block, by ``_shortest``, which
-gives each float exactly the text of ``format_number`` without ``repr``.
+CSV text is built one block of rows at a time.  The float columns of a
+block, and its int columns within +-2^53 (exact as floats, and printed
+by ``str`` as their integral floats are), go through one ``_shortest``
+call; a plain sort of the block's bits hands it each distinct value once.
+Bool columns are their bytes plus "0"; ints past 2^53 take ``str``.
+``_shortest`` gives each float exactly the text of ``format_number``
+without ``repr``.
 It scales |x| to S = |x| 10^p in [1e16, 1e17) as an int64 plus a fraction
 by Dekker's exact product (exact for p <= 22; up to p = 44, 10^p is an
 exact double-double and S errs by under 1e-14).  repr's digits are the
@@ -26,7 +30,7 @@ import numpy as np
 __all__ = ["SweepTable", "format_number", "write_text"]
 
 NA_MARKER = "NA"
-_CSV_BLOCK = 2048
+_CSV_BLOCK = 1536
 
 
 def format_number(x) -> str:
@@ -46,32 +50,53 @@ def format_number(x) -> str:
     return r[:-2] if r.endswith(".0") else r
 
 
-def _column_text(values: np.ndarray, na: np.ndarray) -> np.ndarray:
-    """One column of a block as a uint8 matrix, a row per cell padded
-    with NUL bytes (dropped when the block is joined)."""
+def _exact_as_float(values: np.ndarray) -> bool:
+    """Whether every cell of a column has the text of its float64 in
+    ``_shortest``: floats, and ints within +-2^53 (exact as floats, and
+    below 1e16, so their integral floats print as ``str`` prints them)."""
     if values.dtype.kind == "f":
-        cells = per_distinct(np.where(na, 0.0, values.astype(float, copy=False)), _shortest)
-        cells[na] = 0
-        cells[na, :2] = np.frombuffer(NA_MARKER.encode(), np.uint8)
-        return cells
-    if values.dtype == bool:
-        texts = ["1" if v else "0" for v in values.tolist()]
-    elif values.dtype.kind in "iu":
-        texts = list(map(str, values.tolist()))
-    else:  # an object column, such as Python ints past int64
-        texts = list(map(format_number, values.tolist()))
-    for i in np.flatnonzero(na).tolist():
-        texts[i] = NA_MARKER
-    return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
+        return True
+    return values.dtype.kind in "iu" and -(2**53) <= int(values.min()) and int(values.max()) <= 2**53
+
+
+def _block_text(block: list) -> list:
+    """Each column of a block, given as (values, na) pairs, as a uint8
+    matrix, a row per cell padded with NUL bytes (dropped when the block
+    is joined).  The cells of every column that ``_exact_as_float`` admits
+    are formatted together, by one ``_shortest`` call."""
+    joint = [i for i, (values, _) in enumerate(block) if _exact_as_float(values)]
+    texts = [None] * len(block)
+    if joint:
+        stacked = np.array([np.where(block[i][1], 0, block[i][0]) for i in joint], dtype=float)
+        cells = per_distinct(stacked.ravel(), _shortest).reshape(*stacked.shape, -1)
+        for i, column in zip(joint, cells):
+            texts[i] = column
+    for i, (values, na) in enumerate(block):
+        if values.dtype == bool:
+            texts[i] = (values.view(np.uint8) + 48)[:, None]
+        elif texts[i] is None:  # ints past 2^53, or an object column such as Python ints past int64
+            strs = list(map(str if values.dtype.kind in "iu" else format_number, values.tolist()))
+            texts[i] = np.array(strs, dtype=bytes).view(np.uint8).reshape(len(strs), -1)
+        if na.any():
+            if texts[i].shape[1] < 2:
+                texts[i] = np.pad(texts[i], ((0, 0), (0, 1)))
+            texts[i][na] = 0
+            texts[i][na, :2] = np.frombuffer(NA_MARKER.encode(), np.uint8)
+    return texts
 
 
 def per_distinct(values: np.ndarray, fmt) -> np.ndarray:
     """``fmt`` (float array -> array, a row per value) once per distinct
-    bit pattern of ``values`` (-0.0 and 0.0 stay apart), gathered into place."""
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    if first.size == values.size:
+    bit pattern of ``values`` (-0.0 and 0.0 stay apart), gathered into
+    place.  A plain sort of the bits finds the distinct values: with no
+    two neighbours equal, ``fmt`` takes ``values`` as they are."""
+    bits = values.view(np.int64)
+    ordered = np.sort(bits)
+    heads = ordered[1:] != ordered[:-1]
+    if heads.all():
         return fmt(values)
-    return np.take(fmt(values[first]), inverse, axis=0)
+    distinct = ordered[np.concatenate(([True], heads))]
+    return np.take(fmt(distinct.view(values.dtype)), np.searchsorted(distinct, bits), axis=0)
 
 
 # Tables of _shortest.  10^p = hi + lo exactly for p <= 44 (5^44 has 103
@@ -275,7 +300,7 @@ class SweepTable:
         yield ",".join(self.columns) + "\n"
         for start in range(0, len(self), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
-            columns = [_column_text(values[rows], na[rows]) for values, na in data]
+            columns = _block_text([(values[rows], na[rows]) for values, na in data])
             comma = np.full((len(columns[0]), 1), ord(","), np.uint8)
             block = np.hstack([m for column in columns for m in (column, comma)])
             block[:, -1] = ord("\n")

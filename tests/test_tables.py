@@ -17,7 +17,7 @@ from qfm import (
     waveform_to_csv,
     worst_case_sweep,
 )
-from qfm.tables import _CSV_BLOCK, format_number
+from qfm.tables import _CSV_BLOCK, format_number, per_distinct
 
 
 class TestFormatNumber:
@@ -76,6 +76,26 @@ class TestSweepTable:
         table.extend(np.arange(100_000) / 3.0, np.arange(100_000) / 7.0)
         assert len(table) == 100_000  # joins the blocks before measuring
         path = tmp_path / "table.csv"
+        tracemalloc.start()
+        try:
+            table.to_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text(encoding="utf-8") == table.to_csv_string()
+        assert peak < path.stat().st_size / 2
+
+    def test_sweep_shaped_table_writes_block_by_block(self, tmp_path):
+        # five columns, an int among them, formatted together per block
+        rows = 100_000
+        i = np.arange(rows)
+        k = 4.0 + 0.25 * (i % 17)
+        q_true = 100.0 + 0.5 * (i // 17)
+        n = np.floor(k * q_true / np.pi).astype(np.int64)
+        q_measured = np.pi * n / k
+        table = SweepTable(columns=("k", "q_true", "n", "q_measured", "rel_error"))
+        table.extend(k, q_true, n, q_measured, q_measured / q_true - 1.0)
+        path = tmp_path / "sweep.csv"
         tracemalloc.start()
         try:
             table.to_csv(path)
@@ -235,6 +255,107 @@ class TestCsvAgainstPerCell:
         table = SweepTable(columns=("z",))
         table.extend(np.array([0.0, -0.0, 0.0, -0.0]))
         assert table.to_csv_string() == "z\n0\n-0\n0\n-0\n"
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The sizes of the arrays handed to ``_shortest``, one per call."""
+    sizes = []
+    shortest = tables._shortest
+
+    def counted(x):
+        sizes.append(x.size)
+        return shortest(x)
+
+    monkeypatch.setattr(tables, "_shortest", counted)
+    return sizes
+
+
+class TestOneKernelCallPerBlock:
+    """Every float column of a block, and every int column within
+    +-2^53, goes through one ``_shortest`` call; the text is that of
+    ``format_number`` cell by cell."""
+
+    def test_criterion_05_table(self, kernel_calls):
+        pair = CircuitNonIdealities(comparator_offset=10e-3, divider_error=0.01)
+        table = worst_case_sweep(np.arange(4.0, 8.01, 0.25), (100.0, 1000.0, 0.5), pair, f0=50e3)
+        assert table.to_csv_string() == per_cell_csv(table)
+        assert len(table) > 2 * _CSV_BLOCK
+        assert len(kernel_calls) == -(-len(table) // _CSV_BLOCK)
+
+    def test_ints_past_2_53_take_no_kernel_call(self, kernel_calls):
+        table = SweepTable(columns=("n", "b"))
+        table.extend(np.array([2**53 + 1, 3, -7]), np.array([True, False, True]))
+        assert table.to_csv_string() == "n,b\n9007199254740993,1\n3,0\n-7,1\n"
+        assert kernel_calls == []
+
+    def test_ints_at_and_past_2_53(self, kernel_calls):
+        edge = np.array([-(2**53), 2**53, 0, -1, 2**53 - 1])
+        past = np.array([2**53 + 1, -(2**53 + 1), 0, 1, 2**53])
+        table = SweepTable(columns=("edge", "past", "x"))
+        table.extend(edge, past, edge / 2.0)
+        text = table.to_csv_string()
+        assert text == per_cell_csv(table)
+        assert "\n-9007199254740992,9007199254740993,-4503599627370496\n" in text
+        # edge and x share one call, in which their 0 is formatted once;
+        # past goes through str
+        assert kernel_calls == [2 * edge.size - 1]
+
+    def test_uint64_past_int64(self):
+        big = np.array([2**64 - 1, 2**63, 2**53, 5], dtype=np.uint64)
+        table = SweepTable(columns=("big", "small"))
+        table.extend(big, np.array([0, 1, 2**53, 7], dtype=np.uint64))
+        assert table.to_csv_string() == per_cell_csv(table)
+        assert table.to_csv_string().splitlines()[1] == "18446744073709551615,0"
+
+    def test_int_and_bool_columns_with_na_cells(self):
+        table = SweepTable(columns=("n", "b", "big", "x"))
+        table.extend(np.array([1, 22, -333, 4]), np.array([True, False, True, False]),
+                     np.array([2**60, 1, 2, 3]), np.array([0.5, 1.5, 2.5, 3.5]),
+                     na=(np.array([True, False, False, True]), np.array([False, True, False, True]),
+                         np.array([True, False, True, False]), None))
+        assert table.to_csv_string() == per_cell_csv(table)
+        assert table.to_csv_string() == "n,b,big,x\nNA,1,NA,0.5\n22,NA,1,1.5\n-333,1,NA,2.5\nNA,NA,3,3.5\n"
+
+    def test_an_int_and_a_float_share_a_value(self, kernel_calls):
+        table = SweepTable(columns=("n", "x"))
+        table.extend(np.array([4, 4, 5]), np.array([4.0, 4.5, -4.0]))
+        assert per_cell_csv(table) == "n,x\n4,4\n4,4.5\n5,-4\n"
+        assert table.to_csv_string() == per_cell_csv(table)
+        assert kernel_calls == [4]  # 4, 5, 4.5 and -4.0, each once
+
+
+def _raw_bytes(a):
+    """A row of a float's 8 bytes per value: a formatter that tells every
+    bit pattern apart."""
+    return a.view(np.uint8).reshape(a.size, 8)
+
+
+class TestPerDistinct:
+    """``per_distinct`` against its formatter applied to every cell."""
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 0.0, -0.0, 1.0],
+        [float("nan"), NAN_PAYLOAD, -float("nan"), float("nan"), NAN_PAYLOAD],
+        [2.5] * 7,
+        list(np.arange(50) / 7.0),
+        [],
+        [-3.0],
+        [1.0, float("inf"), -float("inf"), 1.0, 5e-324, -5e-324, 1 / 3],
+    ], ids=["signed_zeros", "nan_payloads", "all_equal", "all_distinct", "empty", "one", "mixed"])
+    @pytest.mark.parametrize("fmt", [_raw_bytes, tables._shortest], ids=["bytes", "shortest"])
+    def test_equals_every_cell(self, values, fmt):
+        values = np.array(values, dtype=float)
+        seen = []
+
+        def counted(a):
+            seen.append(a.size)
+            return fmt(a)
+
+        out = per_distinct(values, counted)
+        assert out.shape[0] == values.size
+        assert np.array_equal(out, fmt(values))
+        assert seen == [np.unique(values.view(np.int64)).size]
 
 
 @pytest.fixture
