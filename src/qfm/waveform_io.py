@@ -6,10 +6,13 @@ endings, UTF-8).  Floats are written in their shortest exact form, so a
 synthesize/write/load round trip is bit-identical.  On input, CRLF or CR
 line endings and a UTF-8 byte-order mark are accepted.
 
-The reader makes one pass: it decodes the file as UTF-8 with universal
-newlines and cuts about 64 KiB of whole lines at a time with
-``str.splitlines``, the grammar's own splitter.  ``np.loadtxt`` parses
-each piece in one call, without one float object per cell.  A piece it
+The reader makes one pass.  It reads a text stream as it is and decodes
+a byte source in place as UTF-8 with universal newlines, leaving a
+caller's stream open; only a pipe or other non-seekable source is read
+whole, as a bad byte's offset is found by decoding the bytes before it
+again.  Pieces of about 64 KiB of whole lines are cut with
+``str.splitlines``, the grammar's own splitter, and ``np.loadtxt`` parses
+each in one call, without one float object per cell.  A piece it
 refuses, or returns in another shape or with a non-finite value, goes
 to the line grammar, the grammar of record: it takes what ``float()``
 takes (``1_000``, non-ASCII digits) and words every error with its line
@@ -139,20 +142,11 @@ def load_waveform(source) -> Waveform:
     time step (median step, 1e-6 relative tolerance); the sample rate is
     derived from the median step.
     """
-    raw, errors = _byte_stream(source)
-    with io.TextIOWrapper(raw, encoding="utf-8", errors=errors, newline=None) as text:
-        try:
-            try:
-                t, v = _read(text)
-            except WaveformFormatError:
-                while text.read(_READ_BYTES):  # a bad byte further on wins over a row
-                    pass
-                raise
-        except UnicodeDecodeError:
-            end = raw.tell()
-            raw.seek(0)
-            raw.read(end).decode("utf-8", errors)  # again in one call, so at its file offset
-            raise
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as raw:
+            t, v = _decode(raw)
+    else:
+        t, v = _read(source) if isinstance(source.read(0), str) else _decode(source)
     if t.size < 3:
         raise WaveformFormatError(
             f"need at least 3 samples to establish a rate, found {t.size}"
@@ -166,20 +160,26 @@ def load_waveform(source) -> Waveform:
     return Waveform(sample_rate=1.0 / med, samples=v, start_time=float(t[0]))
 
 
-def _byte_stream(source):
-    """The source as a seekable byte stream, with the error handler that
-    decodes it back to the text it was (lone surrogates survive a text
-    stream's round trip)."""
-    if isinstance(source, (str, Path)):
-        raw = open(source, "rb")
-        if raw.seekable():
-            return raw, "strict"
-        with raw:  # a pipe: read it whole
-            return io.BytesIO(raw.read()), "strict"
-    data = source.read()
-    if isinstance(data, str):
-        return io.BytesIO(data.encode("utf-8", "surrogatepass")), "surrogatepass"
-    return io.BytesIO(data), "strict"
+def _decode(raw):
+    """``(t, v)`` of a byte source, decoded from where it stands."""
+    if not raw.seekable():  # a pipe, which cannot be re-read
+        raw = io.BytesIO(raw.read())
+    start = raw.tell()
+    text = io.TextIOWrapper(raw, encoding="utf-8", newline=None)
+    try:
+        try:
+            return _read(text)
+        except WaveformFormatError:
+            while text.read(_READ_BYTES):  # a bad byte further on wins over a row
+                pass
+            raise
+    except UnicodeDecodeError:
+        end = raw.tell()
+        raw.seek(start)
+        raw.read(end - start).decode("utf-8")  # again in one call, so at its offset from start
+        raise
+    finally:
+        text.detach()  # or collecting the wrapper would close the source
 
 
 # decoded characters per read of the record

@@ -610,6 +610,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(self.PARAMS, self.CONFIG, PAIR, trials=0, seed=0)
 
+    def test_every_trial_failing_raises(self):
+        # a droop of 1e9 V/s empties the held peak before any count
+        with pytest.raises(SimulationError) as err:
+            monte_carlo(self.PARAMS, self.CONFIG, CircuitNonIdealities(leak_droop=1e9), trials=50)
+        assert str(err.value) == "every trial failed to complete a measurement"
+
 
 class TestMonteCarloRegression:
     """Summaries recorded from the per-trial scalar loop the kernel

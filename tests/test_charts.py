@@ -54,6 +54,13 @@ class TestSvgChart:
         assert len(polylines(svg)) == 1
         assert "1.0e+06" in svg or "1e+06" in svg
 
+    def test_log_axis_refuses_non_positive_x(self):
+        table = SweepTable(("f0", "rel_error"))
+        table.extend(np.array([0.0, 1.0]), np.array([0.1, 0.2]))
+        with pytest.raises(ValueError) as err:
+            svg_line_chart(table, x="f0", log_x=True)
+        assert str(err.value) == "log x axis needs positive x values"
+
     def test_deterministic(self):
         table = theoretical_error_sweep([6.0], (100.0, 150.0, 1.0))
         a = svg_line_chart(table, x="q_true", series="k")

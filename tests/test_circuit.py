@@ -52,6 +52,11 @@ class TestCaptureModel:
     def test_ideal_is_identity(self):
         assert capture_model(0.42, 50e3, IDEAL, 1e-4) == 0.42
 
+    def test_refuses_non_positive_f0(self):
+        with pytest.raises(ValueError) as err:
+            capture_model(1.0, 0.0, IDEAL, 1e-4)
+        assert str(err.value) == "f0 must be > 0 Hz (got 0.0)"
+
     def test_droop_arithmetic(self):
         ni = CircuitNonIdealities(leak_droop=1.0)
         one_ms = 1e-3

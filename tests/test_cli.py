@@ -58,6 +58,25 @@ class TestParseValue:
         with pytest.raises(ValueError):
             parse_axis("1:2:3:4")
 
+    @pytest.mark.parametrize(
+        "axis,message",
+        [
+            ("1kHz:10:log", "log range needs 0 < lo < hi, got '1kHz:10:log'"),
+            ("0:1kHz:log", "log range needs 0 < lo < hi, got '0:1kHz:log'"),
+            ("1kHz:10kHz:log1", "log point count must be >= 2 in '1kHz:10kHz:log1'"),
+            ("10kHz:1kHz:1", "range needs lo <= hi and step > 0, got '10kHz:1kHz:1'"),
+            ("1kHz:10kHz:0", "range needs lo <= hi and step > 0, got '1kHz:10kHz:0'"),
+        ],
+    )
+    def test_axis_refusals_exit_2(self, capsys, tmp_path, axis, message):
+        with pytest.raises(ValueError) as err:
+            parse_axis(axis)
+        assert str(err.value) == message
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run(capsys, "sweep", "frequency", "--f0", axis, "--out", str(out_csv))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_csv.exists()
+
 
 class TestSimulate:
     def test_defaults_reproduce_reference(self, capsys):
@@ -240,6 +259,41 @@ class TestSweep:
         assert not out_csv.exists()
         assert not recwarn.list
 
+    def test_q_axis_of_one_value(self, capsys, tmp_path):
+        out_csv = tmp_path / "one.csv"
+        code, out, _ = run(capsys, "sweep", "theoretical", "--k", "8", "--q", "500", "--out", str(out_csv))
+        assert (code, out) == (0, f"rows=1 na=0 out={out_csv}\n")
+        assert out_csv.read_text().splitlines()[1].startswith("8,500,")
+
+    @pytest.mark.parametrize(
+        "q,message",
+        [
+            # --q takes lo:hi:step or one value, not the other axis forms
+            ("100:1000:log", "q range must be lo:hi:step, got '100:1000:log'"),
+            ("100:1000", "q range must be lo:hi:step, got '100:1000'"),
+            ("100,200", "cannot parse numeric value '100,200'"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["theoretical", "worstcase"])
+    def test_q_axis_refusals_exit_2(self, capsys, tmp_path, mode, q, message):
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run(capsys, "sweep", mode, "--q", q, "--out", str(out_csv))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_csv.exists()
+
+    def test_axes_come_from_flags_only(self, capsys, tmp_path, monkeypatch):
+        # a config file's k, q or f0 would otherwise collapse a sweep to one point
+        cfg = tmp_path / "axes.cfg"
+        cfg.write_text("k = 8\nq = 500\n")
+        code, out, _ = run(capsys, "sweep", "theoretical", "--config", str(cfg), "--out", str(tmp_path / "t.csv"))
+        assert code == 0 and out.startswith("rows=4955 ")
+        cfg.write_text("f0 = 10kHz\n")
+        monkeypatch.setenv("QFM_CONFIG", str(cfg))
+        out_csv = tmp_path / "f.csv"
+        code, out, _ = run(capsys, "sweep", "frequency", "--out", str(out_csv))
+        assert code == 0 and out.startswith("rows=37 ")
+        assert out_csv.read_text().splitlines()[1].startswith("1000,")
+
     def test_unwritable_out_exits_4(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sweep", "theoretical",
@@ -351,6 +405,14 @@ class TestSynthAndMeasure:
         code, _, _ = run(capsys, "measure", str(tmp_path / "nope.csv"))
         assert code == 2
 
+    def test_synth_of_fewer_than_two_samples_exits_2(self, capsys, tmp_path):
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run(
+            capsys, "synth", "--f0", "1", "--rate", "100", "--duration", "0.01", "--out", str(out_csv)
+        )
+        assert (code, out, err) == (2, "", "error: duration too short: fewer than 2 samples requested\n")
+        assert not out_csv.exists()
+
 
 class TestConfigFile:
     def test_file_then_flag_precedence(self, capsys, tmp_path):
@@ -371,6 +433,11 @@ class TestConfigFile:
         assert code == 0
         result = record_fields(out.strip())
         assert result["n"] != "171"  # k=8 counts further down the envelope
+
+    def test_missing_config_file_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "nope.cfg"
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: config file not found: {cfg}\n")
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

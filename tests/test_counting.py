@@ -63,6 +63,11 @@ class TestQFromCount:
             with pytest.raises(ValueError):
                 MeasurementConfig(k)
 
+    def test_rejects_a_non_integer_count(self):
+        with pytest.raises(ValueError) as err:
+            q_from_count(2.5, 6.0)
+        assert str(err.value) == "n must be an integer count (got float64)"
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             q_from_count(0, 6.0)
@@ -128,6 +133,18 @@ class TestCount:
             n_last = count_pseudo_periods(params, MeasurementConfig(k, LAST))
             assert n_first == n_last + 1
 
+    @pytest.mark.parametrize(
+        "f0,q,message",
+        [
+            (50e3, 1e300, "q=1e+300 is out of range: the count would overflow"),
+            (5e-324, 300.0, "f0=5e-324 is out of range: the pseudo-period leaves the float range"),
+        ],
+    )
+    def test_refuses_a_count_out_of_range(self, f0, q, message):
+        with pytest.raises(ValueError) as err:
+            count_pseudo_periods(ResonatorParams(f0=f0, q=q, v0=1.0), MeasurementConfig(6.0, LAST))
+        assert str(err.value) == message
+
     def test_tie_counts_as_at_or_below(self):
         # place the threshold exactly on maximum 5
         params = ResonatorParams(f0=1.0, q=40.0, v0=1.0)
@@ -142,6 +159,13 @@ class TestTheoreticalError:
         assert err_last == pytest.approx(-5.855e-4, abs=2e-6)
         err_first = theoretical_error(300.0, MeasurementConfig(6.0, FIRST))
         assert err_first == pytest.approx(5.259e-3, abs=2e-6)
+
+    def test_refuses_a_threshold_above_the_first_maximum(self):
+        with pytest.raises(ValueError) as err:
+            theoretical_error(0.6, MeasurementConfig(1.5, LAST))
+        assert str(err.value) == (
+            "measurement degenerate at q=0.6, k=1.5: the first maximum is already at or below the threshold"
+        )
 
     def test_quantization_is_the_only_error_source(self):
         # |error| never exceeds the Q change induced by one count

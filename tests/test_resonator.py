@@ -206,6 +206,11 @@ class TestPeaks:
 
 
 class TestSynth:
+    def test_refuses_fewer_than_two_samples(self):
+        with pytest.raises(ValueError) as err:
+            synth_waveform(ResonatorParams(f0=1.0, q=300.0, v0=1.0), 100.0, 0.01)
+        assert str(err.value) == "duration too short: fewer than 2 samples requested"
+
     def test_first_sample_is_v0(self):
         params = ResonatorParams(f0=50e3, q=300.0, v0=1.0)
         w = synth_waveform(params, 5e6, 5e-3)
@@ -443,6 +448,12 @@ class TestWaveform:
         samples[37] = bad
         with pytest.raises(ValueError, match="finite"):
             Waveform(sample_rate=1e6, samples=samples)
+
+    @pytest.mark.parametrize("samples", [[], np.zeros((0, 2))])
+    def test_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError) as err:
+            Waveform(sample_rate=1e6, samples=samples)
+        assert str(err.value) == "samples must be a non-empty 1-D sequence"
 
     def test_accepts_extreme_finite_samples(self):
         w = Waveform(sample_rate=1e6, samples=[1.7e308, -1.7e308], start_time=-1.0)

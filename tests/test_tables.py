@@ -52,6 +52,12 @@ class TestSweepTable:
         with pytest.raises(ValueError):
             t.append(1, 2, 3)
 
+    def test_extend_checks_column_lengths(self):
+        t = SweepTable(columns=("a", "b"))
+        with pytest.raises(ValueError) as err:
+            t.extend([1, 2], [1])
+        assert str(err.value) == "columns of a block must have equal length"
+
     def test_column_accessor_with_nones(self):
         t = SweepTable(columns=("x", "y"))
         t.append(1.0, 2.0)

@@ -457,6 +457,39 @@ class TestStreamedReader:
         assert str(err.value) == str(outcome(reference_load_waveform, path)[1])
         assert f"position {len(data) - 2}" in str(err.value)
 
+    def test_bad_byte_reported_at_its_offset_from_the_stream_position(self):
+        skipped, record = b"\xfe,\xff\n", b"t,v\n0,1\n1,2\n2,\xff\n"
+        stream = io.BytesIO(skipped + record)
+        stream.seek(len(skipped))
+        with pytest.raises(UnicodeDecodeError) as err:
+            load_waveform(stream)
+        assert str(err.value) == str(outcome(reference_load_waveform, io.BytesIO(record))[1])
+        assert f"position {len(record) - 2}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "data,error",
+        [
+            (b"t,v\n0,1\n1,2\n2,3\n", None),
+            (b"t,v\n0,1\n1,x\n2,3\n", WaveformFormatError),
+            (b"t,v\n0,1\n1,2\n2,\xff\n", UnicodeDecodeError),
+        ],
+        ids=["good", "row-error", "bad-byte"],
+    )
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_a_callers_stream_stays_open(self, data, error, as_text):
+        stream = io.BytesIO(data)
+        if as_text:
+            stream = io.TextIOWrapper(stream, encoding="utf-8")
+        try:
+            if error is None:
+                assert load_waveform(stream).samples.tolist() == [1.0, 2.0, 3.0]
+            else:
+                with pytest.raises(error):
+                    load_waveform(stream)
+            assert not stream.closed and stream.seek(0) == 0  # a closed stream refuses to seek
+        finally:
+            stream.close()
+
     @pytest.mark.parametrize("unusual", [False, True])
     def test_record_cap(self, monkeypatch, unusual):
         monkeypatch.setattr(waveform_io, "MAX_SAMPLES", 4)
@@ -495,6 +528,28 @@ class TestStreamedReader:
             else:
                 assert np.array_equal(loaded[1].samples, w.samples)
             assert peak < 48.9e6 / 2
+
+    def test_an_open_file_streams_like_its_path(self, tmp_path):
+        # a file object was read whole and copied: 1.4-1.6x the path's peak
+        w = synth_waveform(ResonatorParams(f0=50e3, q=2000.0), 2.5e6, 0.1, noise_rms=1e-3, seed=1)
+        path = tmp_path / "wave.csv"
+        waveform_to_csv(w, path)
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                assert np.array_equal(load().samples, w.samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def from_file(**mode):
+            with open(path, **mode) as stream:
+                return load_waveform(stream)
+
+        by_path = peak(lambda: load_waveform(path))
+        assert peak(lambda: from_file(mode="rb")) <= 1.1 * by_path
+        assert peak(lambda: from_file(mode="r", encoding="utf-8")) <= 1.1 * by_path
 
 
 class TestExtractPeaks:
@@ -553,6 +608,12 @@ class TestExtractPeaks:
         assert np.all(peaks.values > 0)
         # first reported peak is the true maximum 1 of the original trace
         assert peaks.values[0] == pytest.approx(peak_value(params, 1), abs=1e-4)
+
+    def test_refuses_negative_hysteresis(self):
+        _, w = synth(periods=5)
+        with pytest.raises(ValueError) as err:
+            extract_peaks(w, hysteresis=-0.1)
+        assert str(err.value) == "hysteresis must be >= 0 V (got -0.1)"
 
     def test_too_few_peaks_raises(self):
         params = ResonatorParams(f0=50e3, q=300.0, v0=1.0)
@@ -688,6 +749,25 @@ class TestMeasureCounting:
     def test_peaklist_refuses_non_finite(self, times, values):
         with pytest.raises(ValueError, match="peak times and values must be finite"):
             PeakList(times=np.array(times), values=np.array(values))
+
+    @pytest.mark.parametrize(
+        "times,values,message",
+        [
+            ([0.0, 1.0], [1.0], "times and values must be matching 1-D arrays"),
+            ([[0.0, 1.0]], [[1.0, 0.5]], "times and values must be matching 1-D arrays"),
+            ([0.0, 2.0, 1.0], [1.0, 0.5, 0.25], "peak times must be strictly increasing"),
+            ([0.0, 1.0, 1.0], [1.0, 0.5, 0.25], "peak times must be strictly increasing"),
+        ],
+    )
+    def test_peaklist_refuses_bad_shapes_and_order(self, times, values, message):
+        with pytest.raises(ValueError) as err:
+            PeakList(times=np.array(times), values=np.array(values))
+        assert str(err.value) == message
+
+    def test_median_spacing_needs_two_peaks(self):
+        with pytest.raises(ValueError) as err:
+            PeakList(times=np.array([0.0]), values=np.array([1.0])).median_spacing()
+        assert str(err.value) == "need at least 2 peaks for a spacing"
 
 
 class TestLogDecrementFit:
