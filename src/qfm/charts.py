@@ -2,8 +2,9 @@
 
 Presentation only: one polyline per series, absolute error in percent on
 the y axis.  Output is a deterministic string so rendered charts can be
-compared byte for byte.  Each distinct x position is formatted once and
-shared by every series that passes through it.
+compared byte for byte.  Every polyline coordinate is ``f"{v:.2f}"``,
+written by one array kernel over all the points (x positions are not
+deduplicated) and joined a polyline at a time as one byte matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .tables import NA_MARKER, SweepTable, per_distinct, write_text
+from .tables import _BYTES, _QUAD, _SPLIT, NA_MARKER, SweepTable, _fill, write_text
 
 __all__ = ["svg_line_chart", "write_svg"]
 
@@ -116,12 +117,13 @@ def svg_line_chart(
         f"|{_Y}| [%]</text>"
     )
 
-    # an object array, so that repeated x positions share one str
-    xcells = per_distinct(px(xts), lambda a: np.array([f"{v:.2f}" for v in a.tolist()], dtype=object))
+    xcells, ycells = _cents(px(xts)), _cents(py(ys))
     for idx, (label, at) in enumerate(groups):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = zip(xcells[at].tolist(), py(ys[at]).tolist())
-        coords = " ".join([f"{a},{b:.2f}" for a, b in points])
+        # a row per point: x, ",", y, " "; NUL padding and the last space dropped
+        sep = np.full((at.size, 2), [ord(","), ord(" ")], np.uint8)
+        points = np.hstack((xcells[at], sep[:, :1], ycells[at], sep[:, 1:]))
+        coords = points.tobytes().translate(None, b"\0")[:-1].decode("ascii")
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -138,6 +140,36 @@ def svg_line_chart(
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+_TENS = 10 ** np.arange(1, 7)
+_FRAC = np.take(_QUAD, np.arange(100)) >> 16 << 8 | ord(".")  # "." and 2 digits
+
+
+def _cents(v: np.ndarray) -> np.ndarray:
+    """``f"{x:.2f}"`` of each float64 of ``v`` as a row of at least 16
+    bytes, NUL-padded.  Dekker's product gives v * 100 = prod + err
+    exactly, so floor(prod), its fraction and err round half to even
+    exactly; nan, inf, -0.0 and values outside [0, 1e7) take the
+    f-string."""
+    fast = (v >= 0) & (v < 1e7) & ~np.signbit(v)
+    a = np.where(fast, v, 0.0)
+    prod = a * 100.0
+    a_hi = a * _SPLIT - (a * _SPLIT - a)
+    err = (a_hi * 100.0 - prod) + (a - a_hi) * 100.0
+    whole = np.floor(prod)
+    half = (prod - whole - 0.5) + err  # the sign of the exact remainder past one half
+    r = whole.astype(np.int64)
+    r += (half > 0) | ((half == 0) & (r % 2 == 1))
+    fast &= r < 10**9
+    units, frac = np.divmod(np.where(fast, r, 0), 100)
+    words = np.empty((v.size, 2), np.int64)
+    # 8 digits, less the leading zeros past the first
+    words[:, 0] = np.take(_QUAD, units // 10**4) | np.take(_QUAD, units % 10**4) << 32
+    words[:, 0] &= ~np.take(_BYTES, 7 - np.searchsorted(_TENS, units, side="right"))
+    words[:, 1] = np.take(_FRAC, frac)
+    slow = np.flatnonzero(~fast)
+    return _fill(words.view(np.uint8), slow, [f"{x:.2f}" for x in v[slow].tolist()])
 
 
 def _groups(keys: np.ndarray, na: np.ndarray) -> list:

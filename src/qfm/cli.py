@@ -94,11 +94,7 @@ def parse_axis(text) -> np.ndarray:
     """Sweep axis: 'lo:hi:step', 'lo:hi:log[N]', 'a,b,c' or scalar."""
     text = str(text).strip()
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range must be lo:hi:step or lo:hi:log[N], got {text!r}")
-        lo, hi = parse_value(parts[0]), parse_value(parts[1])
-        mode = parts[2].strip()
+        lo, hi, mode = _split_range(text, "range", log=True)
         if mode.startswith("log"):
             if lo <= 0 or hi <= lo:
                 raise ValueError(f"log range needs 0 < lo < hi, got {text!r}")
@@ -360,15 +356,20 @@ def cmd_sweep(ns) -> int:
     return EXIT_OK
 
 
+def _split_range(text: str, name: str, log: bool) -> tuple:
+    """lo and hi of 'lo:hi:mode' as values, and the stripped mode; a log
+    mode only where ``log`` allows it."""
+    parts = text.split(":")
+    if len(parts) != 3 or parts[2].strip().startswith("log") and not log:
+        forms = "lo:hi:step or lo:hi:log[N]" if log else "lo:hi:step"
+        raise ValueError(f"{name} must be {forms}, got {text!r}")
+    return parse_value(parts[0]), parse_value(parts[1]), parts[2].strip()
+
+
 def _parse_qrange(text: str):
     text = str(text).strip()
-    if ":" not in text:
-        v = parse_value(text)
-        return (v, v, 1.0)
-    parts = text.split(":")
-    if len(parts) != 3 or parts[2].strip().startswith("log"):
-        raise ValueError(f"q range must be lo:hi:step, got {text!r}")
-    return (parse_value(parts[0]), parse_value(parts[1]), parse_value(parts[2]))
+    lo, hi, step = _split_range(text if ":" in text else f"{text}:{text}:1", "q range", log=False)
+    return (lo, hi, parse_value(step))
 
 
 def cmd_synth(ns) -> int:

@@ -57,6 +57,7 @@ __all__ = [
 _FOUR_PI_SQ = 4.0 * math.pi**2
 # crossing indices past this would overflow the int64 count arithmetic
 _MAX_INDEX = 2.0**62
+_WIDE_T = 2.0**960  # past this pseudo-period, m T can overflow for an m below 2^63
 
 
 class Convention(enum.Enum):
@@ -187,7 +188,7 @@ class Envelope:
         w0 = 2.0 * math.pi * f0
         # past the float range 2 q gives alpha its limit 0, 4 q^2 gives T
         # its limit 2 pi / w0, and a drop overflows to inf
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             self.alpha = w0 / (2.0 * self.q)
             period = 2.0 * math.pi / (w0 * np.sqrt(1.0 - 1.0 / (4.0 * self.q * self.q)))
             # a T of 0 or inf (f0 at an end of the float range) makes the
@@ -195,12 +196,19 @@ class Envelope:
             # invalid-operation warning, and the count is COUNT_RANGE
             self.period = np.where((period > 0.0) & (period < math.inf), period, math.nan)
             self.drop = diode * diode_ramp + leak * self.period
+            # the exponent alpha (m T) takes T past 2^960 as T 2^-64 and alpha
+            # as (w0 2^64) / (2 q): m T stays finite, alpha keeps the bits a
+            # subnormal would lose, and every other product keeps its bits
+            self.step, wide = self.period, self.period > _WIDE_T
+            if wide.any():
+                self.alpha = np.where(wide, w0 * 2.0**64 / (2.0 * self.q), self.alpha)
+                self.step = np.where(wide, self.period * 2.0**-64, self.period)
         self.opamp = np.asarray(opamp, dtype=float)
         self.v0_captured = self.captured(0)
 
     def captured(self, m):
         """Held value of maximum m (an integer or integer array)."""
-        peak = self.v0 * np.exp(-self.alpha * (m * self.period))
+        peak = self.v0 * np.exp(-self.alpha * (m * self.step))
         return np.maximum(0.0, peak * self.gain - self.drop + self.opamp)
 
 
@@ -273,7 +281,7 @@ def first_crossing(
         status = np.where(env.v0_captured <= 0, Failure.NO_SIGNAL.value, status)
         status = np.where(np.asarray(1.0 + divider) <= 0, Failure.DIVIDER.value, status)
         top = env.v0 * env.gain
-        est = np.log(top / np.where(status == 0, rhs, top)) / (env.alpha * env.period)
+        est = np.log(top / np.where(status == 0, rhs, top)) / (env.alpha * env.step)
     status = np.where((status == 0) & ~(est < _MAX_INDEX), Failure.COUNT_RANGE.value, status)
     m = np.array(np.maximum(1.0, np.ceil(np.where(status == 0, est, 1.0))), dtype=np.int64)
     _settle(env, m, threshold, status == 0)

@@ -179,7 +179,11 @@ def peak_value(params: ResonatorParams, m) -> float:
     """Amplitude of the m-th maximum: v0 exp(-alpha m T)."""
     m = _check_peak_index(m)
     dyn = derive_dynamics(params)
-    out = params.v0 * np.exp(-dyn.alpha * (m * dyn.pseudo_period))
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = m * dyn.pseudo_period
+        # (alpha T) m only where m T overflows: every finite product keeps its bits
+        exponent = np.where(np.isinf(span), (dyn.alpha * dyn.pseudo_period) * m, dyn.alpha * span)
+    out = params.v0 * np.exp(-exponent)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -5,22 +5,23 @@ plus an NA mask for points where a measurement could not complete; NA
 cells are emitted as the explicit marker ``NA`` rather than NaN so
 downstream CSV consumers can tell a failed point from a numeric zero.
 
-CSV text is built one block of rows at a time.  The float columns of a
-block, and its int columns within +-2^53 (exact as floats, and printed
-by ``str`` as their integral floats are), go through one ``_shortest``
-call; a plain sort of the block's bits hands it each distinct value once.
-Bool columns are their bytes plus "0"; ints past 2^53 take ``str``.
-``_shortest`` gives each float exactly the text of ``format_number``
-without ``repr``.
-It scales |x| to S = |x| 10^p in [1e16, 1e17) as an int64 plus a fraction
-by Dekker's exact product (exact for p <= 22; up to p = 44, 10^p is an
-exact double-double and S errs by under 1e-14).  repr's digits are the
-multiple of 10^J nearest S for the largest J within half an ulp of S
-(under 12); at most one multiple of 100 lies that close, so J = 0, J = 1
-and that multiple with its trailing zeros are all there is to check.  A
-decision within 1e-6 of its boundary, a power of two outside [1, 1e16)
-(half the gap below), nonzero |x| outside [1e-27, 1e17), nan and inf go
-to ``repr``.
+CSV text is built one block of rows at a time, a cell as 32 NUL-padded
+bytes whose last is the separator; one transposing copy puts a block's
+cells in row order and one ``translate`` drops the NULs.  The float
+columns of a block, and its int columns within +-2^53 (exact as floats,
+and printed by ``str`` as their integral floats are), go through one
+``_shortest`` call; a plain sort of the block's bits hands it each
+distinct value once.  Bool columns are their bytes plus "0"; ints past
+2^53 take ``str``.  ``_shortest`` gives each float exactly the text of
+``format_number`` without ``repr``.  It scales |x| to S = |x| 10^p in
+[1e16, 1e17) as an int64 plus a fraction by Dekker's exact product
+(exact for p <= 22; up to p = 44, 10^p is an exact double-double and S
+errs by under 1e-14).  repr's digits are the multiple of 10^J nearest S
+for the largest J within half an ulp of S (under 12); at most one
+multiple of 100 lies that close, so J = 0, J = 1 and that multiple with
+its trailing zeros are all there is to check.  A decision within 1e-6 of
+its boundary, a power of two outside [1, 1e16) (half the gap below),
+nonzero |x| outside [1e-27, 1e17), nan and inf go to ``repr``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 __all__ = ["SweepTable", "format_number", "write_text"]
 
 NA_MARKER = "NA"
-_CSV_BLOCK = 1536
+_CSV_BLOCK = 3072
 
 
 def format_number(x) -> str:
@@ -59,30 +60,40 @@ def _exact_as_float(values: np.ndarray) -> bool:
     return values.dtype.kind in "iu" and -(2**53) <= int(values.min()) and int(values.max()) <= 2**53
 
 
-def _block_text(block: list) -> list:
-    """Each column of a block, given as (values, na) pairs, as a uint8
-    matrix, a row per cell padded with NUL bytes (dropped when the block
-    is joined).  The cells of every column that ``_exact_as_float`` admits
-    are formatted together, by one ``_shortest`` call."""
+def _block_cells(block: list) -> np.ndarray:
+    """A block of rows, given as one (values, na) pair per column, as a
+    (columns, rows, width) uint8 array: a cell per row of ``width`` >=
+    ``_CELL`` bytes, NUL-padded (dropped when the block is joined), its
+    last byte the separator.  The cells of every column that
+    ``_exact_as_float`` admits are formatted together, by one
+    ``_shortest`` call."""
     joint = [i for i, (values, _) in enumerate(block) if _exact_as_float(values)]
-    texts = [None] * len(block)
-    if joint:
-        stacked = np.array([np.where(block[i][1], 0, block[i][0]) for i in joint], dtype=float)
-        cells = per_distinct(stacked.ravel(), _shortest).reshape(*stacked.shape, -1)
-        for i, column in zip(joint, cells):
-            texts[i] = column
-    for i, (values, na) in enumerate(block):
+    texts = {}
+    for i, (values, _) in enumerate(block):
         if values.dtype == bool:
             texts[i] = (values.view(np.uint8) + 48)[:, None]
-        elif texts[i] is None:  # ints past 2^53, or an object column such as Python ints past int64
+        elif i not in joint:  # ints past 2^53, or an object column such as Python ints past int64
             strs = list(map(str if values.dtype.kind in "iu" else format_number, values.tolist()))
             texts[i] = np.array(strs, dtype=bytes).view(np.uint8).reshape(len(strs), -1)
+    width = max([_CELL] + [text.shape[1] + 1 for text in texts.values()])
+    if joint:
+        stacked = np.array([np.where(block[i][1], 0, block[i][0]) for i in joint], dtype=float)
+        joint_cells = per_distinct(stacked.ravel(), _shortest).reshape(len(joint), -1, _CELL)
+    if texts:
+        cells = np.zeros((len(block), len(block[0][0]), width), np.uint8)
+        if joint:
+            cells[joint, :, :_CELL] = joint_cells
+        for i, text in texts.items():
+            cells[i, :, : text.shape[1]] = text
+    else:
+        cells = joint_cells
+    for column, (_, na) in zip(cells, block):
         if na.any():
-            if texts[i].shape[1] < 2:
-                texts[i] = np.pad(texts[i], ((0, 0), (0, 1)))
-            texts[i][na] = 0
-            texts[i][na, :2] = np.frombuffer(NA_MARKER.encode(), np.uint8)
-    return texts
+            column[na] = 0
+            column[na, :2] = np.frombuffer(NA_MARKER.encode(), np.uint8)
+    cells[:, :, -1] = ord(",")
+    cells[-1, :, -1] = ord("\n")
+    return cells
 
 
 def per_distinct(values: np.ndarray, fmt) -> np.ndarray:
@@ -107,28 +118,29 @@ _P_HI = np.array(_POW10, dtype=float)
 _P_HI_HI = _P_HI * _SPLIT - (_P_HI * _SPLIT - _P_HI)
 _P = np.array([_P_HI, _P_HI_HI, _P_HI - _P_HI_HI,
                [n - int(h) for n, h in zip(_POW10, _P_HI.tolist())]], dtype=float)
-# A cell is 6 little-endian int64 words: the sign, "0." and up to 3 zeros,
-# then 17 digits each followed by a byte for the point, then "e-dd".
-_TENS = np.arange(100) // 10
-_MOD10 = np.arange(100) - 10 * _TENS
-_PAIR = (_TENS + 48) | (_MOD10 + 48) << 16
+# A cell is 4 little-endian int64 words (32 bytes): the sign, "0." and up
+# to 3 zeros, then the leading digit in byte 6 and, when a point follows
+# it, the point in byte 7; digits 1-16, one a byte, in words 1-2; "e-dd"
+# in word 3.  Only the fixed layout with 1 <= e10 <= 15 puts the point
+# among the digits, shifting those after it a byte right; word 3 is zero
+# there, so the digits never reach a tail.  Byte 31 is always padding.
+_CELL = 32
+_MOD10 = np.arange(100) % 10
 _HI2 = np.arange(10_000) // 100
 _LO2 = np.arange(10_000) - 100 * _HI2
-_QUAD = _PAIR[_HI2] | _PAIR[_LO2] << 32  # 4 digits as a word
+_QUAD = ((np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + 48) << [0, 8, 16, 24]).sum(axis=1)
 # S's digits 1-16 come in 4 groups of 4; a nonzero group i puts the end of
 # the significant digits at its last nonzero digit, the leading digit at 1
 _LAST_NZ = np.sign(np.arange(100)) + (_MOD10 > 0)
 _SIG = np.where(_LO2 > 0, 2 + _LAST_NZ[_LO2], _LAST_NZ[_HI2]) + np.arange(1, 16, 4)[:, None]
 _SIG[:, 0] = [1, 0, 0, 0]
-# column k: the first k digits of words 1-4 (digit 0 lives in word 0)
-_KEEP = np.array([0, 0xFF, 0xFF00FF, 0xFF00FF00FF, 0xFF00FF00FF00FF])[
-    np.clip(np.arange(18) - np.arange(1, 16, 4)[:, None], 0, 4)]
+_BYTES = np.array([(1 << 8 * i) - 1 for i in range(9)], np.uint64).view(np.int64)  # the low i bytes
 _E_MIN, _E_MAX = -28, 17
 
 
 def _layouts():
     """Per exponent e10 of the leading digit, from ``_E_MIN``: word 0 with
-    the sign (plain, then "-") and "0." with its zeros, word 5 ("e-dd"),
+    the sign (plain, then "-") and "0." with its zeros, word 3 ("e-dd"),
     the last digit before the point, and the digit count past which a
     point follows it.  repr writes -4 <= e10 <= 15 in fixed layout."""
     head, tail, last, point_after = [], [], [], []
@@ -153,12 +165,12 @@ def _scaled(a: np.ndarray, p: np.ndarray):
     a_lo = a - a_hi
     t = (((a_hi * h_hi - prod) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * lo
     whole = np.floor(t)
-    return prod.astype(np.int64) + whole.astype(np.int64), t - whole, hi
+    return prod.astype(np.int64) + whole.astype(np.int64), np.subtract(t, whole, out=t), hi
 
 
 def _shortest(x: np.ndarray) -> np.ndarray:
-    """``format_number`` of each float64 of ``x`` as a row of 48 bytes,
-    NUL-padded."""
+    """``format_number`` of each float64 of ``x`` as a row of ``_CELL``
+    bytes, NUL-padded."""
     bits = x.view(np.int64)
     a = np.abs(x)
     zero = a == 0
@@ -174,46 +186,82 @@ def _shortest(x: np.ndarray) -> np.ndarray:
         slow |= (n < 10**16) | (n >= 10**17)
     # half an ulp of a, from its exponent bits, in units of S
     h = ((a.view(np.int64) & 0x7FF0000000000000) - (53 << 52)).view(float) * hi
-    n100 = n // 100
-    r100 = n - n100 * 100
+    del a, hi
+    n100, r100 = np.divmod(n, 100)
     r10 = np.take(_MOD10, r100)
     d100, d10 = r100 + f, r10 + f
+    del r100
     up100, up10 = d100 > 50, d10 > 5
     dist100 = np.where(up100, 100 - d100, d100)
-    dist10 = np.where(up10, 10 - d10, d10)
-    j100, j10 = dist100 < h, dist10 < h
+    del d100
+    j100 = dist100 < h
     # a decision near its boundary, where it counts, takes repr's path
-    slow |= (np.abs(dist100 - h) < 1e-6) | ~j100 & (
-        (np.abs(dist10 - h) < 1e-6) | (np.where(j10, np.abs(d10 - 5), np.abs(f - 0.5)) < 1e-6))
-    n = np.where(j100, (n100 + up100) * 100, np.where(j10, n - r10 + 10 * up10, n + (f > 0.5)))
+    np.subtract(dist100, h, out=dist100)
+    slow |= np.abs(dist100, out=dist100) < 1e-6
+    del dist100
+    dist10 = np.where(up10, 10 - d10, d10)
+    j10 = dist10 < h
+    np.subtract(dist10, h, out=dist10)
+    near = np.abs(dist10, out=dist10) < 1e-6
+    del dist10, h
+    d10 -= 5
+    f -= 0.5
+    near |= np.abs(np.where(j10, d10, f)) < 1e-6
+    slow |= ~j100 & near
+    del near, d10
+    n = np.where(j100, (n100 + up100) * 100, np.where(j10, n - r10 + 10 * up10, n + (f > 0)))
+    del f, n100, r10, up100, up10, j100, j10
     e = 16 - _E_MIN - p  # the row of e10 in the layout tables
     top = n == 10**17
     n[top] = 10**16
     e += top
     lead = n // 10**16
-    rest = n - lead * 10**16
-    hi8 = rest // 10**8
-    lo8 = rest - hi8 * 10**8
-    g0, g2 = hi8 // 10**4, lo8 // 10**4
-    groups = (g0, hi8 - g0 * 10**4, g2, lo8 - g2 * 10**4)
+    n -= lead * 10**16
     lead[zero] = 0
     last = np.take(_LAST, e)
-    words = np.empty((6, x.size), np.int64)
-    words[0] = np.take(_HEAD, 2 * e + (bits < 0)) | (lead + 48) << 48
-    nsig = np.take(_SIG[0], g0)
-    for i, g in enumerate(groups):
-        np.take(_QUAD, g, out=words[1 + i], mode="clip")
-        if i:
-            np.maximum(nsig, np.take(_SIG[i], g), out=nsig)
-    words[1:5] &= np.take(_KEEP, np.maximum(nsig, last + 1), axis=1)
-    np.take(_TAIL, e, out=words[5], mode="clip")
-    cells = words.T.copy().view(np.uint8)
-    point = np.flatnonzero(nsig > np.take(_POINT_AFTER, e))
-    cells[point, 7 + 2 * last[point]] = 46
-    for i in np.flatnonzero(slow).tolist():
-        text = format_number(x[i]).encode()
-        cells[i] = 0
-        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+    hi8, lo8 = divmod(n, 10**8)
+    del n
+    groups = (*divmod(hi8, 10**4), *divmod(lo8, 10**4))
+    del hi8, lo8
+    lo = np.take(_QUAD, groups[0]) | np.take(_QUAD, groups[1]) << 32
+    hi = np.take(_QUAD, groups[2]) | np.take(_QUAD, groups[3]) << 32
+    nsig = np.take(_SIG[0], groups[0])
+    for i in range(1, 4):
+        np.maximum(nsig, np.take(_SIG[i], groups[i]), out=nsig)
+    del groups
+    keep = np.maximum(nsig, last + 1) - 1  # digits 1-16 written
+    lo &= np.take(_BYTES, np.minimum(keep, 8))
+    hi &= np.take(_BYTES, np.maximum(keep, 8) - 8)
+    point = nsig > np.take(_POINT_AFTER, e)
+    del nsig, keep
+    words = np.empty((x.size, 4), np.int64)
+    words[:, 0] = np.take(_HEAD, 2 * e + (bits < 0)) | (lead + 48) << 48 | (point & (last == 0)) * (46 << 56)
+    del lead
+    # the point among digits 1-16 goes at byte `at` of words 1-2, the
+    # bytes from there on moving one up (16: no point there)
+    at = np.where(point & (last > 0), last, 16)
+    del point, last
+    lo_keep, hi_keep = np.take(_BYTES, np.minimum(at, 8)), np.take(_BYTES, np.maximum(at, 8) - 8)
+    lo_move, hi_move = lo & ~lo_keep, hi & ~hi_keep
+    words[:, 1] = (lo & lo_keep) | lo_move << 8 | (lo_keep + 1) * 46
+    words[:, 2] = (hi & hi_keep) | hi_move << 8 | lo_move >> 56 | (hi_keep + 1) * 46 * (at >= 8)
+    words[:, 3] = np.take(_TAIL, e) | hi_move >> 56
+    cells = words.view(np.uint8)
+    slow = np.flatnonzero(slow)
+    return _fill(cells, slow, [format_number(v) for v in x[slow].tolist()])
+
+
+def _fill(cells: np.ndarray, rows: np.ndarray, texts: list) -> np.ndarray:
+    """``cells`` with ``rows`` set to ``texts`` (ASCII), NUL-padded, and
+    widened if a text is longer than a row."""
+    if not texts:
+        return cells
+    text = np.array(texts, dtype=bytes)
+    text = text.view(np.uint8).reshape(len(texts), -1)
+    if text.shape[1] > cells.shape[1]:
+        cells = np.pad(cells, ((0, 0), (0, text.shape[1] - cells.shape[1])))
+    cells[rows] = 0
+    cells[rows, : text.shape[1]] = text
     return cells
 
 
@@ -300,11 +348,9 @@ class SweepTable:
         yield ",".join(self.columns) + "\n"
         for start in range(0, len(self), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
-            columns = _block_text([(values[rows], na[rows]) for values, na in data])
-            comma = np.full((len(columns[0]), 1), ord(","), np.uint8)
-            block = np.hstack([m for column in columns for m in (column, comma)])
-            block[:, -1] = ord("\n")
-            yield block.tobytes().translate(None, b"\0").decode("ascii")
+            cells = _block_cells([(values[rows], na[rows]) for values, na in data])
+            # one copy to row order; the NUL padding goes in one translate
+            yield cells.transpose(1, 0, 2).tobytes().translate(None, b"\0").decode("ascii")
 
     def to_csv_string(self) -> str:
         return "".join(self._csv_pieces())

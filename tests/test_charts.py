@@ -31,6 +31,7 @@ from qfm.charts import (
     _PALETTE,
     _WIDTH,
     _Y,
+    _cents,
     _escape,
     _x_ticks,
 )
@@ -296,3 +297,39 @@ class TestChartAgainstReference:
         assert svg_line_chart(table, x="q_true", log_x=True) == reference_svg_line_chart(
             table, x="q_true", log_x=True
         )
+
+
+def _either_side(v):
+    return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+
+
+class TestCentsKernel:
+    """The polyline coordinate kernel against ``f"{v:.2f}"``."""
+
+    def test_against_the_f_string(self):
+        rng = np.random.default_rng(20_261_020)
+        n = 250_000
+        values = np.concatenate([
+            rng.uniform(0.0, 1e3, n),
+            rng.uniform(0.0, 1e7, n),
+            10.0 ** rng.uniform(-30.0, 7.0, n),
+            rng.integers(0, 10**9, n) / 100.0,
+            # every tie k/200 and k/8 below 1e4 (only k/8 is one exactly), one ulp either side
+            _either_side(np.arange(2_000_000) / 200.0),
+            _either_side(np.arange(80_000) / 8.0),
+            # the top of the fast path, and values the f-string writes
+            _either_side(np.array([9999999.995, 9999999.99, 1e7])),
+            [0.0, -0.0, np.nan, np.inf, -np.inf, -1.0, -0.001, 5e-324],
+        ])
+        assert values.size > 10**6
+        for chunk in np.array_split(values, 16):  # about 400,000 values at a time
+            cells = _cents(chunk)
+            assert cells.shape[1] == 16
+            text = cells.tobytes().translate(None, b"\0").decode("ascii")
+            assert text == "".join([f"{v:.2f}" for v in chunk.tolist()])
+
+    def test_a_long_f_string_widens_the_rows(self):
+        values = np.array([1.5, -1e300, np.nan, 1e300, 123.456])
+        cells = _cents(values)
+        assert cells.shape[1] == len(f"{-1e300:.2f}")
+        assert [row.tobytes().replace(b"\0", b"").decode() for row in cells] == [f"{v:.2f}" for v in values]

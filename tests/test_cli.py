@@ -259,6 +259,15 @@ class TestSweep:
         assert not out_csv.exists()
         assert not recwarn.list
 
+    def test_count_at_the_bottom_of_the_f0_range(self, capsys, tmp_path, recwarn):
+        # twice the pseudo-period of 1e-308 Hz overflows; the count is the 50 kHz one
+        out_csv = tmp_path / "low.csv"
+        argv = ["sweep", "worstcase", "--f0", "1e-308", "--q", "300", "--k", "6", "--out", str(out_csv)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, f"rows=1 na=0 out={out_csv}\n", "")
+        assert out_csv.read_text().splitlines()[1].startswith("6,300,171,299.82433468018803,")
+        assert not recwarn.list
+
     def test_q_axis_of_one_value(self, capsys, tmp_path):
         out_csv = tmp_path / "one.csv"
         code, out, _ = run(capsys, "sweep", "theoretical", "--k", "8", "--q", "500", "--out", str(out_csv))

@@ -197,6 +197,32 @@ class TestShortestFloatText:
         assert "-9223372036854775808,1,NA\n9223372036854775807,0,-9.223372036854776e+18\n" in text
         assert "\n72057594037927937,0," in text
 
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", ["longest_repr", "na", "bool", "int_past_2_53", "int_past_int64", "all"])
+    def test_every_cell_kind_in_every_column(self, kind, at):
+        # each kind of cell in the first, a middle or the last column of a
+        # block, against format_number joined by hand
+        rows = 7
+        kinds = {
+            "longest_repr": (np.array([-1.2345678901234567e-300, 1.5, 1e-5, -0.0, 0.1, 2.0, 1e300]), None),
+            "na": (np.arange(rows) / 3.0, np.arange(rows) % 3 == 1),
+            "bool": (np.arange(rows) % 2 == 0, None),
+            "int_past_2_53": (np.array([2**53 + 1, -(2**63), 2**63 - 1, 0, -1, 7, 10**18]), None),
+            # Python ints past int64: a cell past the 32 bytes of a float's
+            "int_past_int64": (np.array([10**40, -(10**45), 1, 2, 3, 4, 5], dtype=object), None),
+        }
+        special = list(kinds) if kind == "all" else [kind]
+        filler = [(np.linspace(100.0, 101.0, rows), None), (np.arange(rows), None)]
+        pick = {"first": 0, "middle": 1, "last": 2}[at]
+        columns = filler[:pick] + [kinds[k] for k in special] + filler[pick:]
+        table = SweepTable(columns=[f"c{i}" for i in range(len(columns))])
+        table.extend(*(values for values, _ in columns), na=[na for _, na in columns])
+        lines = [",".join(table.columns)]
+        for r in range(rows):
+            cells = ["NA" if na is not None and na[r] else format_number(values[r]) for values, na in columns]
+            lines.append(",".join(cells))
+        assert table.to_csv_string() == "\n".join(lines) + "\n"
+
     def test_powers_of_ten_split_exactly(self):
         for p in range(tables._P.shape[1]):
             assert int(tables._P[0, p]) + int(tables._P[3, p]) == 10**p
