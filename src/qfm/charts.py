@@ -57,10 +57,7 @@ def svg_line_chart(
     if log_x and xs.min() <= 0:
         raise ValueError("log x axis needs positive x values")
 
-    def xt(v):
-        return math.log10(v) if log_x else v
-
-    xts = np.array([xt(v) for v in xs.tolist()]) if log_x else xs
+    xts = np.log10(xs) if log_x else xs
     x_lo, x_hi = float(xts.min()), float(xts.max())
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
@@ -93,7 +90,7 @@ def svg_line_chart(
     parts.append(f'<line x1="{x0}" y1="{_MARGIN_T}" x2="{x0}" y2="{y0}" stroke="black"/>')
 
     for xv in _x_ticks(x_lo, x_hi, log_x):
-        p = px(xt(xv))
+        p = px(math.log10(xv) if log_x else xv)
         parts.append(f'<line x1="{p:.2f}" y1="{y0}" x2="{p:.2f}" y2="{y0 + 5}" stroke="black"/>')
         parts.append(
             f'<text x="{p:.2f}" y="{y0 + 18}" font-family="sans-serif" font-size="11" '

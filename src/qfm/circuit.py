@@ -71,7 +71,7 @@ from .counting import (
     held_crossing,
     stop_threshold,
 )
-from .resonator import MAX_SAMPLES, ResonatorParams, _sim_blocks, derive_dynamics
+from .resonator import MAX_SAMPLES, ResonatorParams, _sim_blocks, derive_dynamics, log_decrement
 from .tables import SweepTable
 
 __all__ = [
@@ -518,7 +518,7 @@ def simulate_measurement(
                            (dyn.pseudo_period, sample_rate, MAX_SAMPLES / sample_rate)):
         if not 0 < value < math.inf:
             raise ValueError(f"f0={params.f0} is out of range: the {what} leaves the float range")
-    if math.exp(-dyn.alpha * dyn.pseudo_period) == 1.0:
+    if math.exp(-log_decrement(params.q)) == 1.0:
         raise ValueError(f"q={params.q} is out of range: the maxima's decay per pseudo-period rounds to 1")
     # numpy's normal draws lie within 12.3 sigma (its ziggurat's tail takes
     # the log of a 53-bit uniform) and the ring-down within v0 (1 + c): with

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .resonator import ResonatorParams
+from .resonator import ResonatorParams, log_decrement
 from .tables import SweepTable
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
 _FOUR_PI_SQ = 4.0 * math.pi**2
 # crossing indices past this would overflow the int64 count arithmetic
 _MAX_INDEX = 2.0**62
-_WIDE_T = 2.0**960  # past this pseudo-period, m T can overflow for an m below 2^63
 
 
 class Convention(enum.Enum):
@@ -173,42 +172,36 @@ class Envelope:
     arrays of Q and of the detector-side signed errors (opamp offset,
     leak droop, diode residual):
 
-        captured(m) = max(0, v0 exp(-alpha m T) gain - drop + opamp)
+        captured(m) = max(0, v0 exp(-delta m) gain - drop + opamp)
 
-    with drop = diode * diode_ramp + leak * T, where ``gain`` is the
-    detector's tracking gain at f0 and ``diode_ramp`` the uncancelled
-    fraction of the diode residual; the defaults describe an ideal
-    detector.  No term depends on k or on the threshold-side errors, so
-    one envelope serves every division factor of a sweep.
+    with delta the log decrement of Q, which f0 does not enter, and
+    drop = diode * diode_ramp + leak * T, where ``gain`` is the detector's
+    tracking gain at f0 and ``diode_ramp`` the uncancelled fraction of the
+    diode residual; the defaults describe an ideal detector.  No term
+    depends on k or on the threshold-side errors, so one envelope serves
+    every division factor of a sweep.
     """
 
     def __init__(self, q, f0=1.0, v0=1.0, gain=1.0, diode_ramp=0.0, opamp=0.0, leak=0.0, diode=0.0):
         self.q = np.asarray(q, dtype=float)
         self.f0, self.v0, self.gain = f0, v0, gain
+        self.decrement = log_decrement(self.q)
         w0 = 2.0 * math.pi * f0
-        # past the float range 2 q gives alpha its limit 0, 4 q^2 gives T
-        # its limit 2 pi / w0, and a drop overflows to inf
+        # past the float range 4 q^2 gives T its limit 2 pi / w0, and a
+        # drop overflows to inf
         with np.errstate(over="ignore", divide="ignore"):
-            self.alpha = w0 / (2.0 * self.q)
             period = 2.0 * math.pi / (w0 * np.sqrt(1.0 - 1.0 / (4.0 * self.q * self.q)))
-            # a T of 0 or inf (f0 at an end of the float range) makes the
-            # maxima's exponent 0 * inf: NaN it here, where it raises no
-            # invalid-operation warning, and the count is COUNT_RANGE
+            # a T of 0 or inf (f0 at an end of the float range) has no drop
+            # or duration: NaN it here, where it raises no invalid-operation
+            # warning, and the NaN drop makes the count COUNT_RANGE
             self.period = np.where((period > 0.0) & (period < math.inf), period, math.nan)
             self.drop = diode * diode_ramp + leak * self.period
-            # the exponent alpha (m T) takes T past 2^960 as T 2^-64 and alpha
-            # as (w0 2^64) / (2 q): m T stays finite, alpha keeps the bits a
-            # subnormal would lose, and every other product keeps its bits
-            self.step, wide = self.period, self.period > _WIDE_T
-            if wide.any():
-                self.alpha = np.where(wide, w0 * 2.0**64 / (2.0 * self.q), self.alpha)
-                self.step = np.where(wide, self.period * 2.0**-64, self.period)
         self.opamp = np.asarray(opamp, dtype=float)
         self.v0_captured = self.captured(0)
 
     def captured(self, m):
         """Held value of maximum m (an integer or integer array)."""
-        peak = self.v0 * np.exp(-self.alpha * (m * self.step))
+        peak = self.v0 * np.exp(-(self.decrement * m))
         return np.maximum(0.0, peak * self.gain - self.drop + self.opamp)
 
 
@@ -265,7 +258,7 @@ def first_crossing(
     the envelope with k and the signed divider and comparator errors.
 
     Each cell starts from the closed-form estimate
-    m = max(1, ceil(ln(gain v0 / (thr + drop - opamp)) / (alpha T)))
+    m = max(1, ceil(ln(gain v0 / (thr + drop - opamp)) / delta))
     and is settled with the same comparisons a scan over the maxima
     makes, so ties resolve as they would in a scan: a cell is settled
     when captured(m) <= thr and (m = 1 or captured(m - 1) > thr).  The
@@ -281,7 +274,7 @@ def first_crossing(
         status = np.where(env.v0_captured <= 0, Failure.NO_SIGNAL.value, status)
         status = np.where(np.asarray(1.0 + divider) <= 0, Failure.DIVIDER.value, status)
         top = env.v0 * env.gain
-        est = np.log(top / np.where(status == 0, rhs, top)) / (env.alpha * env.step)
+        est = np.log(top / np.where(status == 0, rhs, top)) / env.decrement
     status = np.where((status == 0) & ~(est < _MAX_INDEX), Failure.COUNT_RANGE.value, status)
     m = np.array(np.maximum(1.0, np.ceil(np.where(status == 0, est, 1.0))), dtype=np.int64)
     _settle(env, m, threshold, status == 0)

@@ -175,15 +175,19 @@ def peak_time(params: ResonatorParams, m) -> float:
     return float(out) if np.ndim(out) == 0 else out
 
 
+def log_decrement(q):
+    """Log decrement delta = alpha T = pi / (q sqrt(1 - 1/(4 q^2))): the
+    maxima fall by exp(-delta) per pseudo-period, whatever f0.  Past the
+    float range 4 q^2 gives delta its limit pi / q."""
+    with np.errstate(over="ignore"):
+        return math.pi / (q * np.sqrt(1.0 - 1.0 / (4.0 * q * q)))
+
+
 def peak_value(params: ResonatorParams, m) -> float:
-    """Amplitude of the m-th maximum: v0 exp(-alpha m T)."""
+    """Amplitude of the m-th maximum: v0 exp(-delta m), with delta the
+    :func:`log_decrement` of q."""
     m = _check_peak_index(m)
-    dyn = derive_dynamics(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = m * dyn.pseudo_period
-        # (alpha T) m only where m T overflows: every finite product keeps its bits
-        exponent = np.where(np.isinf(span), (dyn.alpha * dyn.pseudo_period) * m, dyn.alpha * span)
-    out = params.v0 * np.exp(-exponent)
+    out = params.v0 * np.exp(-(log_decrement(params.q) * m))
     return float(out) if np.ndim(out) == 0 else out
 
 

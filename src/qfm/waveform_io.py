@@ -281,16 +281,10 @@ def _parse_lines(lines, lineno: int, rows: int):
 _SEEK_MAX, _SEEK_MIN = 0, 1
 
 
-def extract_peaks(
-    w: Waveform,
-    hysteresis: float = 0.0,
-    min_amplitude: float = 0.0,
-) -> PeakList:
+def extract_peaks(w: Waveform, hysteresis: float = 0.0) -> PeakList:
     """Positive-lobe maxima of a sampled trace, hysteresis-confirmed and
-    refined by 3-point parabolic interpolation.
-
-    ``min_amplitude`` optionally rejects maxima below an amplitude floor
-    (0 disables it).  Raises when fewer than 2 peaks are found.
+    refined by 3-point parabolic interpolation.  Raises when fewer than
+    2 peaks are found.
     """
     if hysteresis < 0:
         raise ValueError(f"hysteresis must be >= 0 V (got {hysteresis})")
@@ -308,7 +302,7 @@ def extract_peaks(
             if x > cmax:
                 cmax, imax = x, i
             elif x <= cmax - hysteresis:
-                if cmax > 0 and cmax >= min_amplitude:
+                if cmax > 0:
                     picked.append(imax)
                 state = _SEEK_MIN
                 cmin = x

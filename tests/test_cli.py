@@ -268,6 +268,17 @@ class TestSweep:
         assert out_csv.read_text().splitlines()[1].startswith("6,300,171,299.82433468018803,")
         assert not recwarn.list
 
+    def test_count_past_2_to_the_50_does_not_depend_on_f0(self, capsys, tmp_path):
+        # criterion 08 at n near 1.5e16: the same table at 1 Hz and at 50 kHz
+        tables = []
+        for f0 in ("1", "50kHz"):
+            out_csv = tmp_path / f"f0_{f0}.csv"
+            argv = ["sweep", "worstcase", "--q", "1e15", "--k", "1e20,6", "--f0", f0, "--out", str(out_csv)]
+            assert run(capsys, *argv) == (0, f"rows=2 na=0 out={out_csv}\n", "")
+            tables.append(out_csv.read_bytes())
+        assert tables[0] == tables[1]
+        assert tables[0].splitlines()[1].startswith(b"1e+20,1000000000000000,14658711977588554,")
+
     def test_q_axis_of_one_value(self, capsys, tmp_path):
         out_csv = tmp_path / "one.csv"
         code, out, _ = run(capsys, "sweep", "theoretical", "--k", "8", "--q", "500", "--out", str(out_csv))

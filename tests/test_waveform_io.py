@@ -103,7 +103,7 @@ def reference_load_waveform(source, cap=None) -> Waveform:
     return Waveform(sample_rate=1.0 / med, samples=v, start_time=float(t[0]))
 
 
-def reference_extract_peaks(w, hysteresis=0.0, min_amplitude=0.0):
+def reference_extract_peaks(w, hysteresis=0.0):
     if hysteresis < 0:
         raise ValueError(f"hysteresis must be >= 0 V (got {hysteresis})")
     v = w.samples
@@ -117,7 +117,7 @@ def reference_extract_peaks(w, hysteresis=0.0, min_amplitude=0.0):
             if x > cmax:
                 cmax, imax = x, i
             elif x <= cmax - hysteresis:
-                if cmax > 0 and cmax >= min_amplitude:
+                if cmax > 0:
                     picked.append(imax)
                 seek_max = False
                 cmin = x
@@ -590,13 +590,6 @@ class TestExtractPeaks:
         half_cycles = int(len(w) / w.sample_rate / (T / 2)) + 1
         assert len(extract_peaks(w)) <= half_cycles
 
-    def test_amplitude_floor(self):
-        params, w = synth(q=20.0, periods=30)
-        all_peaks = extract_peaks(w)
-        floored = extract_peaks(w, min_amplitude=0.1 * params.v0)
-        assert len(floored) < len(all_peaks)
-        assert np.all(floored.values >= 0.1 * params.v0)
-
     def test_leading_negative_lobe_skipped(self):
         # record starting inside a trough still yields positive maxima only
         params = ResonatorParams(f0=50e3, q=50.0, v0=1.0)
@@ -637,15 +630,14 @@ class TestExtractPeaks:
     @given(
         runs=st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=40),
         hysteresis=st.integers(0, 3),
-        min_amplitude=st.sampled_from([0.0, 1.0, 2.5, 4.0]),
         rate=st.sampled_from([1.0, 3.0, 5e6]),
         start=st.sampled_from([0.0, -2.5, 1e-3]),
     )
-    def test_turning_points_match_full_loop(self, runs, hysteresis, min_amplitude, rate, start):
+    def test_turning_points_match_full_loop(self, runs, hysteresis, rate, start):
         # integer samples with plateaus: ties at every turn
         samples = np.array([float(v) for v, n in runs for _ in range(n)])
         w = Waveform(sample_rate=rate, samples=samples, start_time=start)
-        self.assert_same_peaks(w, float(hysteresis), min_amplitude)
+        self.assert_same_peaks(w, float(hysteresis))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -653,17 +645,17 @@ class TestExtractPeaks:
         hysteresis=st.floats(0, 50),
     )
     def test_turning_points_match_full_loop_on_floats(self, samples, hysteresis):
-        self.assert_same_peaks(Waveform(sample_rate=1e6, samples=np.array(samples)), hysteresis, 0.0)
+        self.assert_same_peaks(Waveform(sample_rate=1e6, samples=np.array(samples)), hysteresis)
 
     @pytest.mark.parametrize("noise,hysteresis", [(0.0, 0.0), (1e-4, 1e-3), (1e-2, 0.0), (1e-2, 5e-2)])
     def test_turning_points_match_full_loop_on_ringdowns(self, noise, hysteresis):
         _, w = synth(q=50.0, periods=40, noise=noise, seed=4)
-        self.assert_same_peaks(w, hysteresis, 0.0)
+        self.assert_same_peaks(w, hysteresis)
 
     @staticmethod
-    def assert_same_peaks(w, hysteresis, min_amplitude):
-        new = outcome(extract_peaks, w, hysteresis, min_amplitude)
-        old = outcome(reference_extract_peaks, w, hysteresis, min_amplitude)
+    def assert_same_peaks(w, hysteresis):
+        new = outcome(extract_peaks, w, hysteresis)
+        old = outcome(reference_extract_peaks, w, hysteresis)
         if old[0] != "ok":
             assert new == old
             return
