@@ -45,10 +45,9 @@ from .resonator import ResonatorParams, synth_waveform
 from .tables import format_number, write_text
 from .waveform_io import (
     InsufficientRecordError,
+    _fit_q,
     extract_peaks,
-    fit_q_log_decrement,
     load_waveform,
-    log_fit,
     measure_q_counting,
     measurement_record,
     waveform_to_csv,
@@ -397,11 +396,10 @@ def cmd_measure(ns) -> int:
     peaks = extract_peaks(wave, hysteresis=hysteresis)
     mc = config.measurement()
     counting = measure_q_counting(peaks, mc)
-    q_fit = fit_q_log_decrement(peaks)
+    q_fit, fit = _fit_q(peaks)
     disagreement = abs(counting.q_measured - q_fit) / q_fit
     print("method=counting " + measurement_record(counting, mc))
-    residual = log_fit(peaks.values).rms
-    print(f"method=fit q={format_number(q_fit)} residual={format_number(residual)}")
+    print(f"method=fit q={format_number(q_fit)} residual={format_number(fit.rms)}")
     print(f"disagreement={format_number(disagreement)}")
     print(f"peaks={len(peaks)} hysteresis={format_number(hysteresis)} "
           f"irregular_spacing={format_number(peaks.irregular_spacing)}")

@@ -266,14 +266,15 @@ def _fill(cells: np.ndarray, rows: np.ndarray, texts: list) -> np.ndarray:
 
 
 def write_text(dest, text) -> None:
-    """Write text, or an iterable of text pieces, to a path or a text
-    stream (UTF-8, LF endings)."""
+    """Write text, or an iterable of pieces of text or UTF-8 bytes, to a
+    path or a text stream (UTF-8, LF endings); a path takes the bytes as
+    they are."""
     pieces = [text] if isinstance(text, str) else text
     if hasattr(dest, "write"):
-        dest.writelines(pieces)
+        dest.writelines(p if isinstance(p, str) else p.decode() for p in pieces)
     else:
-        with open(dest, "w", encoding="utf-8", newline="\n") as f:
-            f.writelines(pieces)
+        with open(dest, "wb") as f:
+            f.writelines(p.encode() if isinstance(p, str) else p for p in pieces)
 
 
 class SweepTable:
@@ -343,17 +344,18 @@ class SweepTable:
         return int(np.logical_or.reduce(masks).sum()) if masks else 0
 
     def _csv_pieces(self):
-        # the header, then blocks of rows, so only one block's text exists at a time
+        # UTF-8 bytes of the header, then of blocks of rows, so only one
+        # block's text exists at a time
         data = self._data()
-        yield ",".join(self.columns) + "\n"
+        yield (",".join(self.columns) + "\n").encode()
         for start in range(0, len(self), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
             cells = _block_cells([(values[rows], na[rows]) for values, na in data])
             # one copy to row order; the NUL padding goes in one translate
-            yield cells.transpose(1, 0, 2).tobytes().translate(None, b"\0").decode("ascii")
+            yield cells.transpose(1, 0, 2).tobytes().translate(None, b"\0")
 
     def to_csv_string(self) -> str:
-        return "".join(self._csv_pieces())
+        return b"".join(self._csv_pieces()).decode()
 
     def to_csv(self, dest) -> None:
         """Write the table to a path or text stream (UTF-8, LF endings)."""

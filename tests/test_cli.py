@@ -391,6 +391,19 @@ class TestSynthAndMeasure:
         # a clean ring-down leaves only the parabolic refinement's error
         assert 0 <= float(fit["residual"]) < 1e-4
 
+    def test_measure_fits_the_log_envelope_once(self, capsys, tmp_path, monkeypatch):
+        wave = tmp_path / "wave.csv"
+        run(capsys, "synth", "--noise", "1e-4", "--seed", "7", "--out", str(wave))
+        w = waveform_io.load_waveform(wave)
+        peaks = waveform_io.extract_peaks(w, hysteresis=0.01 * float(np.max(np.abs(w.samples))))
+        expected = (f"method=fit q={qfm.format_number(waveform_io.fit_q_log_decrement(peaks))} "
+                    f"residual={qfm.format_number(waveform_io.log_fit(peaks.values).rms)}")
+        calls = []
+        monkeypatch.setattr(waveform_io, "log_fit", lambda values: calls.append(1) or qfm.log_fit(values))
+        code, out, _ = run(capsys, "measure", str(wave))
+        assert code == 0 and len(calls) == 1
+        assert out.splitlines()[1] == expected
+
     def test_record_over_the_cap_exits_2(self, capsys, tmp_path, monkeypatch):
         wave = tmp_path / "wave.csv"
         run(capsys, "synth", "--duration", "5ms", "--out", str(wave))

@@ -17,7 +17,7 @@ from qfm import (
     waveform_to_csv,
     worst_case_sweep,
 )
-from qfm.tables import _CSV_BLOCK, format_number, per_distinct
+from qfm.tables import _CSV_BLOCK, format_number, per_distinct, write_text
 
 
 class TestFormatNumber:
@@ -74,6 +74,22 @@ class TestSweepTable:
         t.to_csv(buf)
         assert buf.getvalue() == "x\n1.5\n"
         assert "\r" not in buf.getvalue()
+
+    def test_write_text_takes_text_and_bytes_to_a_path_or_a_stream(self, tmp_path):
+        # a path takes the bytes as they are; a text stream takes text
+        pieces = ["q\u00b5,n\n", b"1,2\n", "3,4\n"]
+        path = tmp_path / "out.csv"
+        write_text(path, pieces)
+        assert path.read_bytes() == "q\u00b5,n\n1,2\n3,4\n".encode()
+        buf = io.StringIO(newline="")
+        write_text(buf, iter(pieces))
+        assert buf.getvalue() == "q\u00b5,n\n1,2\n3,4\n"
+        write_text(path, "a\nb\n")
+        assert path.read_bytes() == b"a\nb\n"
+        table = SweepTable(columns=("\u00b5",))
+        table.append(0.5)
+        table.to_csv(path)
+        assert path.read_bytes() == "\u00b5\n0.5\n".encode() and table.to_csv_string() == "\u00b5\n0.5\n"
 
     def test_to_csv_writes_block_by_block(self, tmp_path):
         # the text of a large table is never held whole, as one string

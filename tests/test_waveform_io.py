@@ -403,9 +403,14 @@ class TestStreamedReader:
 
     @settings(max_examples=300, deadline=None)
     @given(text=csv_records(), read_bytes=st.sampled_from([1, 2, 3, 7]))
-    def test_any_read_size_agrees_with_line_parser(self, text, read_bytes):
+    def test_any_read_size_agrees_with_line_parser(self, tmp_path_factory, text, read_bytes):
+        path = tmp_path_factory.getbasetemp() / "any_read_size.csv"
+        path.write_bytes(text.encode())
         with mock.patch.object(waveform_io, "_READ_BYTES", read_bytes):
             assert_same_load(lambda: io.BytesIO(text.encode()))
+            assert_same_load(lambda: path)
+            with mock.patch.object(waveform_io, "_SCAN_BYTES", read_bytes):
+                assert_same_load(lambda: path)
             with line_grammar_only():
                 assert_same_load(lambda: io.BytesIO(text.encode()))
 
@@ -550,6 +555,219 @@ class TestStreamedReader:
         by_path = peak(lambda: load_waveform(path))
         assert peak(lambda: from_file(mode="rb")) <= 1.1 * by_path
         assert peak(lambda: from_file(mode="r", encoding="utf-8")) <= 1.1 * by_path
+
+
+def assert_path_reads_as_open_file(path):
+    """load_waveform(path) gives what load_waveform(open(path, "rb"))
+    gives: equal samples, rate and start, or an exception of the same
+    type, message and line."""
+
+    def from_file():
+        with open(path, "rb") as stream:
+            return load_waveform(stream)
+
+    new, old = outcome(load_waveform, path), outcome(from_file)
+    if old[0] != "ok":
+        assert new == old
+        return
+    assert new[0] == "ok"
+    assert new[1].sample_rate == old[1].sample_rate and new[1].start_time == old[1].start_time
+    assert np.array_equal(new[1].samples, old[1].samples) and new[1].samples.flags.c_contiguous
+
+
+# rows of a uniform record, LF-terminated, for the path corpus
+ROWS = [f"{i / 1000!r},{math.sin(i / 10)!r}".encode() for i in range(12_000)]
+
+
+def faulted(at, fault):
+    """``ROWS`` as a record file, with ``fault`` (rows -> rows) applied at
+    row ``at``."""
+    rows = ROWS[:at] + fault(ROWS[at]) + ROWS[at + 1:]
+    return b"t,v\n" + b"\n".join(rows) + b"\n"
+
+
+def inserted(line):
+    return lambda row: [line, row]
+
+
+def appended(tail):
+    return lambda row: [row + tail]
+
+
+def valued(text):
+    return lambda row: [row.split(b",")[0] + b"," + text.encode()]
+
+
+FAULTS = {
+    "spaces": inserted(b"   "),
+    "tab": inserted(b"\t"),
+    "blanks": inserted(b" \t "),
+    "empty": inserted(b""),
+    "lone-cr": inserted(b"\r"),
+    "leading-blank": lambda row: [b" " + row],
+    **{f"x{c:02x}": appended(bytes([c])) for c in b"\x0b\x0c\x1c\x1d\x1e\x1f"},
+    "u2028": appended("\u2028".encode()),
+    "cr-inside": lambda row: [row + b"\r" + row],
+    "arabic-digit": valued("\u0661"),
+    "grouped": valued("1_000"),
+    "one-field": lambda row: [row.split(b",")[0]],
+    "three-fields": appended(b",1"),
+    "nan": valued("nan"),
+    "bad-byte": appended(b"\xff"),
+}
+
+
+class TestPathRoute:
+    """A regular file's clean prefix goes to numpy's path reader, the rest
+    to the piece reader; the open file, read by the piece reader alone,
+    is the oracle."""
+
+    @pytest.mark.parametrize("at", [0, 6_000, 11_999], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
+    def test_a_path_reads_as_its_open_file(self, tmp_path, fault, at):
+        path = tmp_path / "wave.csv"
+        path.write_bytes(faulted(at, fault))
+        assert_path_reads_as_open_file(path)
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda data: data.replace(b"\n", b"\r\n"),
+            lambda data: data.replace(b"\n", b"\r"),
+            lambda data: b"\xef\xbb\xbf" + data,
+            lambda data: b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n"),
+            lambda data: data.replace(b"\n", b"\r\n", 6_000),  # LF after the first 6,000 lines
+            lambda data: data[:-1],  # no line end after the last row
+        ],
+        ids=["crlf", "cr", "bom", "bom-crlf", "mixed", "unterminated"],
+    )
+    def test_line_endings_and_bom(self, tmp_path, form):
+        path = tmp_path / "wave.csv"
+        path.write_bytes(form(faulted(0, lambda row: [row])))
+        assert_path_reads_as_open_file(path)
+        assert np.array_equal(load_waveform(path).samples, [float(row.split(b",")[1]) for row in ROWS])
+
+    def test_refusals_keep_their_line_and_offset(self, tmp_path):
+        path = tmp_path / "wave.csv"
+        path.write_bytes(faulted(6_000, FAULTS["nan"]))
+        assert outcome(load_waveform, path) == (WaveformFormatError, "line 6002: non-finite value (nan or inf)", 6_002)
+        data = faulted(6_000, FAULTS["bad-byte"])
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        with pytest.raises(UnicodeDecodeError, match=f"position {offset}:"):
+            load_waveform(path)
+        path.write_bytes(faulted(6_000, FAULTS["three-fields"]))
+        assert outcome(load_waveform, path) == (
+            WaveformFormatError, "line 6002: expected 2 comma-separated fields, got 3", 6_002
+        )
+
+    @pytest.mark.parametrize("blank_at", [None, 50], ids=["clean", "blank-line"])
+    def test_record_cap_before_a_malformed_row(self, tmp_path, monkeypatch, blank_at):
+        monkeypatch.setattr(waveform_io, "MAX_SAMPLES", 100)
+        data = faulted(101, lambda row: [row, b"not,a,row"])
+        if blank_at is not None:  # the prefix ends at a blank line, the piece reader meets the cap
+            data = data.replace(ROWS[blank_at] + b"\n", ROWS[blank_at] + b"\n\t\n")
+        path = tmp_path / "wave.csv"
+        path.write_bytes(data)
+        assert_path_reads_as_open_file(path)
+        with pytest.raises(WaveformFormatError, match="^the record is over the limit of 100 samples$"):
+            load_waveform(path)
+        if blank_at is None:
+            with open(path, "rb") as raw:  # refused before numpy reads a row
+                assert waveform_io._clean_prefix(raw) == (0, 0)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_named_pipe_reads_as_its_open_file(self, tmp_path):
+        path = tmp_path / "wave.fifo"
+        os.mkfifo(path)
+        data = faulted(0, lambda row: [row])
+
+        def from_file():
+            with open(path, "rb") as stream:
+                return load_waveform(stream)
+
+        loads = []
+        for load in (lambda: load_waveform(path), from_file):
+            writer = threading.Thread(target=path.write_bytes, args=(data,))
+            writer.start()
+            try:
+                loads.append(load())
+            finally:
+                writer.join()
+        assert np.array_equal(loads[0].samples, loads[1].samples)
+        assert loads[0].sample_rate == loads[1].sample_rate
+
+    @pytest.mark.parametrize("scan_bytes", [16, 64, 1 << 17])
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize(
+        "odd",
+        [b"", b" ", b"\t", b"\r", b" 7,1", b"\t7,1", b"7,1\r7,2", b"7,\x0c1", b"7,1\x1f", "7,\u0661".encode(), b"7,\xff"],
+    )
+    def test_the_clean_prefix_ends_at_the_first_odd_line(self, tmp_path, monkeypatch, scan_bytes, ending, odd):
+        monkeypatch.setattr(waveform_io, "_SCAN_BYTES", scan_bytes)
+        rows = [b"%d,%d" % (i, i % 7) for i in range(1_000)]
+        clean = b"t,v" + ending + b"".join(row + ending for row in rows[:700])
+        path = tmp_path / "wave.csv"
+        path.write_bytes(clean + odd + ending + b"".join(row + ending for row in rows[700:]))
+        with open(path, "rb") as raw:
+            assert waveform_io._clean_prefix(raw) == (len(clean), 701)
+        path.write_bytes(clean)
+        with open(path, "rb") as raw:
+            assert waveform_io._clean_prefix(raw) == (len(clean), 701)
+        assert_path_reads_as_open_file(path)
+
+    @pytest.mark.parametrize("rows", [b"0\n1\n2\n", b"0,1,2\n1,2,3\n2,3,4\n"], ids=["one-field", "three-fields"])
+    def test_every_row_in_another_shape(self, tmp_path, rows):
+        path = tmp_path / "wave.csv"
+        path.write_bytes(b"t,v\n" + rows)
+        assert_path_reads_as_open_file(path)
+
+    @pytest.mark.parametrize("header", [b"t,v", b" t,v", b"t,v ", b"time,v", b"\xef\xbb\xbf\xef\xbb\xbft,v", b""])
+    def test_an_inexact_header_leaves_the_file_to_the_piece_reader(self, tmp_path, header):
+        path = tmp_path / "wave.csv"
+        path.write_bytes(header + b"\n0,1\n1,2\n2,3\n")
+        with open(path, "rb") as raw:
+            assert waveform_io._clean_prefix(raw) == ((16, 4) if header == b"t,v" else (0, 0))
+        assert_path_reads_as_open_file(path)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_compressed_suffix_is_read_as_written(self, tmp_path, suffix):
+        # numpy's path reader would decompress the file, or raise LZMAError
+        path = tmp_path / f"wave.csv{suffix}"
+        path.write_bytes(b"t,v\n0,1\n1,2\n2,3\n")
+        assert load_waveform(path).samples.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_path_under_dev_takes_the_piece_reader(self, tmp_path):
+        # as /dev/stdin does: on some systems it shares a descriptor's offset
+        path = tmp_path / "wave.csv"
+        path.write_bytes(b"t,v\n0,1\n1,2\n2,3\n")
+        with open(path, "rb") as stream, mock.patch.object(waveform_io, "_clean_prefix", None):
+            assert load_waveform(f"/dev/fd/{stream.fileno()}").samples.tolist() == [1.0, 2.0, 3.0]
+
+    def test_a_file_renamed_over_the_path_midway_is_not_read(self, tmp_path):
+        path, other = tmp_path / "wave.csv", tmp_path / "other.csv"
+        path.write_bytes(b"t,v\n0,1\n1,2\n2,3\n")
+        other.write_bytes(b"t,v\n0,7\n1,8\n2,9\n")
+        scan = waveform_io._clean_prefix
+
+        def scan_then_replace(raw):
+            found = scan(raw)
+            os.replace(other, path)
+            return found
+
+        with mock.patch.object(waveform_io, "_clean_prefix", scan_then_replace):
+            assert load_waveform(path).samples.tolist() == [1.0, 2.0, 3.0]
+
+    def test_a_written_record_is_one_clean_prefix(self, tmp_path):
+        _, w = synth(periods=200, noise=1e-4, seed=3)
+        path = tmp_path / "wave.csv"
+        waveform_to_csv(w, path)
+        size = path.stat().st_size
+        with open(path, "rb") as raw:
+            assert waveform_io._clean_prefix(raw) == (size, len(w.samples) + 1)
+        with no_line_grammar():
+            assert np.array_equal(load_waveform(path).samples, w.samples)
 
 
 class TestExtractPeaks:
