@@ -12,9 +12,10 @@ Three views of the error budget:
   through the closed-form model.
 
 Every closed-form count here is one call of the crossing kernel in
-``counting`` over a grid: (corner x Q) per k for ``worst_case_sweep``,
-whose exhaustive search evaluates the two extreme sign corners over Q
-and the whole sign box only over the Q cells they leave open,
+``counting`` over a grid: (k x corner x Q) per chunk of k for
+``worst_case_sweep``, whose exhaustive search evaluates the two extreme
+sign corners over Q and the whole sign box, per k, only over the Q cells
+they leave open,
 (corner x a block of Q) per k for ``optimal_k``, and a block of trials
 for ``monte_carlo``.  ``optimal_k`` first bounds every k's metric from
 below on every ``_STRIDE``-th Q of the first block, a few k per call;
@@ -73,6 +74,9 @@ _MC_BLOCK = 8192
 _Q_BLOCK = 1024
 # optimal_k bounds each k on every _STRIDE-th Q of its first block
 _STRIDE = 4
+# (k x corner x Q) cells per kernel call in worst_case_sweep, unless one
+# k alone has more
+_K_CELLS = 8 * _Q_BLOCK
 _ALIGNED_CORNERS = ((1.0, 1.0, 1.0, 1.0, 1.0), (-1.0, -1.0, 1.0, 1.0, 1.0))
 # the sign corner with the largest crossing index (divider +, comparator -,
 # opamp +, leak -, diode -) and its mirror, with the smallest
@@ -132,8 +136,9 @@ def worst_case_sweep(
     corners (all corners of the sign box with ``exhaustive=True``) and
     reports the corner with the largest absolute error, signed, the
     first such corner on ties.  Cells where every corner fails to
-    complete are recorded with NA markers.  One kernel call per k covers
-    the (corner x Q) grid.
+    complete are recorded with NA markers.  One kernel call covers a
+    chunk of k, with k along a leading axis: at most ``_K_CELLS``
+    (k x corner x Q) cells, or one k where a k alone has more.
 
     The exhaustive search starts from two corners per k.  The crossing
     index m* rises with the divider error, which lowers the threshold
@@ -159,31 +164,40 @@ def worst_case_sweep(
         worst = _box_worst(ks, qs, ni, f0, v0, convention)
     else:
         crossings = _crossings(qs, ni, f0, v0, corners)
-        worst = [_worst_corner(crossings(k, convention)) for k in ks]
-    return error_table(ks, qs, *(np.stack(column) for column in zip(*worst)))
+        worst = [_worst_corner(crossings(k, convention)) for k in _k_chunks(ks, len(corners) * qs.size)]
+    return error_table(ks, qs, *(np.concatenate(column) for column in zip(*worst)))
+
+
+def _k_chunks(ks, cells):
+    """``ks`` as (chunk, 1, 1) columns of at most ``_K_CELLS`` // ``cells``
+    k each, one k at least, for a kernel call over ``cells`` per k."""
+    chunk = max(1, _K_CELLS // cells)
+    return [ks[start:start + chunk, None, None] for start in range(0, ks.size, chunk)]
 
 
 def _box_worst(ks, qs, ni, f0, v0, convention):
-    """``_worst_corner`` over the whole sign box, for each k: the extreme
-    corners' answer where they settle it, the box's over the rest."""
+    """``_worst_corner`` over the whole sign box, per chunk of k: the
+    extreme corners' answer where they settle it, the box's, per k, over
+    the rest."""
     env, divider, comparator = _corner_model(qs, ni, f0, v0, _EXTREME_CORNERS)
     # the largest term of any corner's held maxima
     top = env.v0 * env.gain + np.abs(env.drop[0]) + ni.opamp_offset
-    for k in ks:
+    for k in _k_chunks(ks, 2 * qs.size):
         c = first_crossing(env, k, convention, False, divider, comparator)
-        n, q, error, settled = _extremes_settle(env, c, k, top, ni)
+        n, q, error, settled = _extremes_settle(env, c, k[:, 0], top, ni)
         valid = settled.copy()
-        if not settled.all():
-            cells = ~settled
-            box = _crossings(qs[cells], ni, f0, v0, _corner_signs(True))(k, convention)
-            n[cells], q[cells], error[cells], valid[cells] = _worst_corner(box)
+        for i in np.flatnonzero(~settled.all(axis=1)):
+            cells = ~settled[i]
+            box = _crossings(qs[cells], ni, f0, v0, _corner_signs(True))(k[i, 0, 0], convention)
+            n[i, cells], q[i, cells], error[i, cells], valid[i, cells] = _worst_corner(box)
         yield n, q, error, valid
 
 
 def _extremes_settle(env, c, k, top, ni):
     """(n, q, error) of the worse of the count-maximising and the
-    count-minimising corner, rows 0 and 1 of the crossing ``c`` over
-    ``env``, and where that is the answer of the whole sign box.
+    count-minimising corner, rows 0 and 1 of axis 1 of the crossing ``c``
+    over ``env`` with k along axis 0, and where that is the answer of the
+    whole sign box.
 
     It is where both complete and either their counts agree or one
     |error| is the larger and the count next to it, toward the other
@@ -194,31 +208,32 @@ def _extremes_settle(env, c, k, top, ni):
     any) above it, by more than ``_ROUNDING`` times the largest term.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        up, down = np.abs(c.error)
+        up, down = np.abs(c.error[:, 0]), np.abs(c.error[:, 1])
         down_wins = down > up
-        n, q, error = (np.where(down_wins, a[1], a[0]) for a in (c.n, c.q, c.error))
+        n, q, error = (np.where(down_wins, a[:, 1], a[:, 0]) for a in (c.n, c.q, c.error))
         toward = np.maximum(np.where(down_wins, n + 1, n - 1), 1)
         next_error = (q_from_count(toward, k) - env.q) / env.q
-        m_up, m_down = c.m
-        gap = env.captured(np.stack((m_up, np.maximum(m_down - 1, 0)))) - c.threshold
+        m_up, m_down = c.m[:, 0], c.m[:, 1]
+        gap = env.captured(np.stack((m_up, np.maximum(m_down - 1, 0)), axis=1)) - c.threshold
         # a corner's threshold is at most its V0 over k (1 - |divider error|)
         slack = _ROUNDING * (top * (1.0 + 1.0 / (k * (1.0 - ni.divider_error))) + ni.comparator_offset)
         settled = (
-            c.valid.all(axis=0)
-            & ((c.n[0] == c.n[1]) | ((up != down) & (next_error != error)))
-            & (gap[0] < -slack)
-            & ((m_down == 1) | (gap[1] > slack))
+            c.valid.all(axis=1)
+            & ((c.n[:, 0] == c.n[:, 1]) | ((up != down) & (next_error != error)))
+            & (gap[:, 0] < -slack)
+            & ((m_down == 1) | (gap[:, 1] > slack))
         )
     return n, q, error, settled
 
 
 def _worst_corner(c):
-    """(n, q, error, valid) of the corner (axis 0) with the largest
-    |error| among those that complete; the first such corner on ties."""
+    """(n, q, error, valid) of the corner (axis -2, before Q) with the
+    largest |error| among those that complete; the first such corner on
+    ties."""
     valid = c.valid
-    pick = np.argmax(np.where(valid, np.abs(c.error), -1.0), axis=0)[None]
-    n, q, error = (np.take_along_axis(a, pick, axis=0)[0] for a in (c.n, c.q, c.error))
-    return n, q, error, valid.any(axis=0)
+    pick = np.expand_dims(np.argmax(np.where(valid, np.abs(c.error), -1.0), axis=-2), -2)
+    n, q, error = (np.take_along_axis(a, pick, axis=-2)[..., 0, :] for a in (c.n, c.q, c.error))
+    return n, q, error, valid.any(axis=-2)
 
 
 def _worst_error(c, axis=None):

@@ -264,6 +264,9 @@ def first_crossing(
     when captured(m) <= thr and (m = 1 or captured(m - 1) > thr).  The
     cells the estimate misses are found by a doubling-then-bisection
     search, in a number of rounds logarithmic in the miss.  k must be > 1.
+    Past 2^53 the float comparisons cannot tell neighbouring maxima
+    apart: such an m is within the float spacing of m of the exact
+    crossing, not exact.
     """
     k = np.asarray(k, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -339,7 +342,8 @@ def count_pseudo_periods(params: ResonatorParams, config: MeasurementConfig) -> 
     v0/k, resolved per the configured convention.
 
     The count depends only on q and k; it always exists because the
-    maxima decay to zero.
+    maxima decay to zero.  A count above 2^53 is within the float
+    spacing of m of the exact count, not exact.
     """
     env = Envelope(params.q, params.f0, params.v0)
     crossing = first_crossing(env, config.k, config.convention)

@@ -6,22 +6,23 @@ cells are emitted as the explicit marker ``NA`` rather than NaN so
 downstream CSV consumers can tell a failed point from a numeric zero.
 
 CSV text is built one block of rows at a time, a cell as 32 NUL-padded
-bytes whose last is the separator; one transposing copy puts a block's
-cells in row order and one ``translate`` drops the NULs.  The float
-columns of a block, and its int columns within +-2^53 (exact as floats,
-and printed by ``str`` as their integral floats are), go through one
-``_shortest`` call; a plain sort of the block's bits hands it each
-distinct value once.  Bool columns are their bytes plus "0"; ints past
-2^53 take ``str``.  ``_shortest`` gives each float exactly the text of
-``format_number`` without ``repr``.  It scales |x| to S = |x| 10^p in
-[1e16, 1e17) as an int64 plus a fraction by Dekker's exact product
-(exact for p <= 22; up to p = 44, 10^p is an exact double-double and S
-errs by under 1e-14).  repr's digits are the multiple of 10^J nearest S
-for the largest J within half an ulp of S (under 12); at most one
-multiple of 100 lies that close, so J = 0, J = 1 and that multiple with
-its trailing zeros are all there is to check.  A decision within 1e-6 of
-its boundary, a power of two outside [1, 1e16) (half the gap below),
-nonzero |x| outside [1e-27, 1e17), nan and inf go to ``repr``.
+bytes whose last is the separator, laid out in row order so one
+``translate`` of the block's bytes drops the NULs.  The float columns of
+a block, and its int columns within +-2^53 (exact as floats, and printed
+by ``str`` as their integral floats are), are stacked as one (rows,
+columns) array and go through one ``_shortest`` call; a sort of the
+block's bits hands it each distinct value once.  Bool columns are their
+bytes plus "0"; ints past 2^53 take ``str``.  ``_shortest`` gives each
+float exactly the text of ``format_number`` without ``repr``.  It scales
+|x| to S = |x| 10^p in [1e16, 1e17) as an int64 plus a fraction by
+Dekker's exact product (exact for p <= 22; up to p = 44, 10^p is an
+exact double-double and S errs by under 1e-14).  repr's digits are the
+multiple of 10^J nearest S for the largest J within half an ulp of S
+(under 12); at most one multiple of 100 lies that close, so J = 0, J = 1
+and that multiple with its trailing zeros are all there is to check.  A
+decision within 1e-6 of its boundary, a power of two outside [1, 1e16)
+(half the gap below), nonzero |x| outside [1e-27, 1e17), nan and inf go
+to ``repr``.
 """
 
 from __future__ import annotations
@@ -62,11 +63,10 @@ def _exact_as_float(values: np.ndarray) -> bool:
 
 def _block_cells(block: list) -> np.ndarray:
     """A block of rows, given as one (values, na) pair per column, as a
-    (columns, rows, width) uint8 array: a cell per row of ``width`` >=
-    ``_CELL`` bytes, NUL-padded (dropped when the block is joined), its
-    last byte the separator.  The cells of every column that
-    ``_exact_as_float`` admits are formatted together, by one
-    ``_shortest`` call."""
+    (rows, columns, width) uint8 array: a cell of ``width`` >= ``_CELL``
+    bytes, NUL-padded (dropped when the block is joined), its last byte
+    the separator.  The cells of every column that ``_exact_as_float``
+    admits are formatted together, by one ``_shortest`` call."""
     joint = [i for i, (values, _) in enumerate(block) if _exact_as_float(values)]
     texts = {}
     for i, (values, _) in enumerate(block):
@@ -75,24 +75,28 @@ def _block_cells(block: list) -> np.ndarray:
         elif i not in joint:  # ints past 2^53, or an object column such as Python ints past int64
             strs = list(map(str if values.dtype.kind in "iu" else format_number, values.tolist()))
             texts[i] = np.array(strs, dtype=bytes).view(np.uint8).reshape(len(strs), -1)
+    rows = len(block[0][0])
     width = max([_CELL] + [text.shape[1] + 1 for text in texts.values()])
     if joint:
-        stacked = np.array([np.where(block[i][1], 0, block[i][0]) for i in joint], dtype=float)
-        joint_cells = per_distinct(stacked.ravel(), _shortest).reshape(len(joint), -1, _CELL)
+        stacked = np.empty((rows, len(joint)))
+        for j, i in enumerate(joint):
+            stacked[:, j] = block[i][0]
+            stacked[block[i][1], j] = 0
+        joint_cells = per_distinct(stacked.ravel(), _shortest).reshape(rows, len(joint), _CELL)
     if texts:
-        cells = np.zeros((len(block), len(block[0][0]), width), np.uint8)
+        cells = np.zeros((rows, len(block), width), np.uint8)
         if joint:
-            cells[joint, :, :_CELL] = joint_cells
+            cells[:, joint, :_CELL] = joint_cells
         for i, text in texts.items():
-            cells[i, :, : text.shape[1]] = text
+            cells[:, i, : text.shape[1]] = text
     else:
         cells = joint_cells
-    for column, (_, na) in zip(cells, block):
+    for i, (_, na) in enumerate(block):
         if na.any():
-            column[na] = 0
-            column[na, :2] = np.frombuffer(NA_MARKER.encode(), np.uint8)
+            cells[na, i] = 0
+            cells[na, i, :2] = np.frombuffer(NA_MARKER.encode(), np.uint8)
     cells[:, :, -1] = ord(",")
-    cells[-1, :, -1] = ord("\n")
+    cells[:, -1, -1] = ord("\n")
     return cells
 
 
@@ -100,14 +104,18 @@ def per_distinct(values: np.ndarray, fmt) -> np.ndarray:
     """``fmt`` (float array -> array, a row per value) once per distinct
     bit pattern of ``values`` (-0.0 and 0.0 stay apart), gathered into
     place.  A plain sort of the bits finds the distinct values: with no
-    two neighbours equal, ``fmt`` takes ``values`` as they are."""
+    two neighbours equal, ``fmt`` takes ``values`` as they are.
+    Otherwise an argsort of the bits gives each value's rank among the
+    distinct ones, scattered back to its position."""
     bits = values.view(np.int64)
     ordered = np.sort(bits)
     heads = ordered[1:] != ordered[:-1]
     if heads.all():
         return fmt(values)
-    distinct = ordered[np.concatenate(([True], heads))]
-    return np.take(fmt(distinct.view(values.dtype)), np.searchsorted(distinct, bits), axis=0)
+    heads = np.concatenate(([True], heads))
+    inverse = np.empty(bits.size, np.intp)
+    inverse[np.argsort(bits)] = np.cumsum(heads) - 1
+    return np.take(fmt(ordered[heads].view(values.dtype)), inverse, axis=0)
 
 
 # Tables of _shortest.  10^p = hi + lo exactly for p <= 44 (5^44 has 103
@@ -351,8 +359,8 @@ class SweepTable:
         for start in range(0, len(self), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
             cells = _block_cells([(values[rows], na[rows]) for values, na in data])
-            # one copy to row order; the NUL padding goes in one translate
-            yield cells.transpose(1, 0, 2).tobytes().translate(None, b"\0")
+            # the NUL padding goes in one translate
+            yield cells.tobytes().translate(None, b"\0")
 
     def to_csv_string(self) -> str:
         return b"".join(self._csv_pieces()).decode()

@@ -128,23 +128,25 @@ UP, DOWN = 20, 11  # largest and smallest crossing index
 FIRST = Convention.FIRST_AT_OR_BELOW
 
 
-def box_crossings(qs, ni, f0, k, v0=1.0, convention=LAST):
-    """The kernel's crossing at every corner of the sign box (axis 0)."""
+def box_crossings(qs, ni, f0, k, v0=1.0, convention=LAST, signs=BOX):
+    """The kernel's crossing at every corner of the sign box (axis 0), or
+    at the rows of ``signs``."""
     mags = np.array([ni.divider_error, ni.comparator_offset, ni.opamp_offset, ni.leak_droop, ni.diode_residual])
-    divider, comparator, opamp, leak, diode = (BOX * mags).T[:, :, None]
+    divider, comparator, opamp, leak, diode = (signs * mags).T[:, :, None]
     env = detector_envelope(qs, f0, v0, ni, opamp, leak, diode)
     return first_crossing(env, k, convention, False, divider, comparator)
 
 
-def reference_exhaustive_sweep(k_values, q_range, ni, f0, v0=1.0, convention=LAST):
+def reference_exhaustive_sweep(k_values, q_range, ni, f0, v0=1.0, convention=LAST, signs=BOX):
     """worst_case_sweep(exhaustive=True) as it was before it started from
-    the extreme corners: per k, all 32 corners over every Q, and per cell
-    the completing corner with the largest |error|, the first on ties."""
+    the extreme corners: per k, one kernel call over all 32 corners (or
+    the rows of ``signs``) and every Q, and per cell the completing
+    corner with the largest |error|, the first on ties."""
     ks = check_k(list(k_values))
     qs = expand_range(q_range)
     columns = []
     for k in ks:
-        c = box_crossings(qs, ni, f0, k, v0, convention)
+        c = box_crossings(qs, ni, f0, k, v0, convention, signs)
         pick = np.argmax(np.where(c.valid, np.abs(c.error), -1.0), axis=0)[None]
         worst = [np.take_along_axis(a, pick, axis=0)[0] for a in (c.n, c.q, c.error)]
         columns.append((*worst, c.valid.any(axis=0)))
@@ -294,6 +296,51 @@ class TestExhaustiveFromExtremeCorners:
         assert np.any(expected.column("n") != worse)
         got = worst_case_sweep([k], q_range, ni, 1e3, convention=FIRST, exhaustive=True)
         assert got.to_csv_string() == expected.to_csv_string()
+
+
+class TestChunksOfK:
+    """worst_case_sweep calls the kernel on a chunk of k at a time, k
+    along a leading axis; its CSV is that of one call per k, byte for
+    byte."""
+
+    # held maxima settle on the opamp offset above the threshold of the
+    # larger k, and last_above counts no decay at the lowest Q: NA cells
+    NI = CircuitNonIdealities(
+        comparator_offset=0.05, divider_error=0.01, opamp_offset=0.2, leak_droop=10.0, diode_residual=0.05
+    )
+    KS = [1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0]
+    Q_RANGE = (0.6, 6.0, 0.6)  # 10 Q, so 20 cells per k at two corners
+
+    @pytest.mark.parametrize("k_cells, chunks", [
+        (5, [1] * 7),  # one k alone has more cells
+        (60, [3, 3, 1]),  # 7 k is not a multiple of the chunk
+        (None, [7]),
+    ], ids=["one_k", "three_k", "default"])
+    @pytest.mark.parametrize("convention", list(Convention), ids=lambda c: c.value)
+    @pytest.mark.parametrize("exhaustive", [False, True], ids=["aligned", "exhaustive"])
+    def test_same_bytes_as_one_call_per_k(self, monkeypatch, k_cells, chunks, convention, exhaustive):
+        if k_cells is not None:
+            monkeypatch.setattr(qfm.analysis, "_K_CELLS", k_cells)
+        shapes = []
+
+        def spy(env, k, *args):
+            shapes.append(np.shape(k))
+            return first_crossing(env, k, *args)
+
+        monkeypatch.setattr(qfm.analysis, "first_crossing", spy)
+        got = worst_case_sweep(self.KS, self.Q_RANGE, self.NI, F0, convention=convention, exhaustive=exhaustive)
+        signs = BOX if exhaustive else np.array(qfm.analysis._ALIGNED_CORNERS)
+        expected = reference_exhaustive_sweep(self.KS, self.Q_RANGE, self.NI, F0, convention=convention, signs=signs)
+        assert got.to_csv_string() == expected.to_csv_string()
+        assert [shape[0] for shape in shapes if len(shape) == 3] == chunks
+        # the box is searched per k, over the cells the extremes leave open
+        assert all(shape == () for shape in shapes if len(shape) != 3)
+        assert (len(shapes) > len(chunks)) == exhaustive
+
+    def test_na_cells_in_both_conventions(self):
+        na = {convention: worst_case_sweep(self.KS, self.Q_RANGE, self.NI, F0, convention=convention).na_rows()
+              for convention in Convention}
+        assert na == {Convention.FIRST_AT_OR_BELOW: 20, LAST: 38}
 
 
 class TestSweepGridLimit:

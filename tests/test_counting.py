@@ -2,6 +2,7 @@
 conventions against a brute-force peak scan, and the quantization-error
 structure of the sweep."""
 
+import decimal
 import math
 import warnings
 
@@ -22,6 +23,7 @@ from qfm import (
 
 FIRST = Convention.FIRST_AT_OR_BELOW
 LAST = Convention.LAST_ABOVE
+PI_60 = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 
 def brute_force_crossing(params, k, scan=4096):
@@ -170,6 +172,22 @@ class TestCount:
         counts = {count_pseudo_periods(ResonatorParams(f0=f0, q=1e16, v0=1.0), config)
                   for f0 in (1.0, 50e3, 1e300, 1e307)}
         assert len(counts) == 1 and counts.pop() > 2**50, counts
+
+    @pytest.mark.parametrize("k, exact, within", [
+        (6.0, 5703347527187113, 0),
+        (1e20, 146587119775885548, 32),  # 32 is the float spacing there
+    ])
+    def test_count_past_2_to_the_53_is_within_its_float_spacing(self, k, exact, within):
+        # the exact last_above count, one less than the first m with
+        # m delta >= ln k, from 60 significant digits
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            q = decimal.Decimal(1e16)
+            delta = PI_60 / (q * (1 - 1 / (4 * q * q)).sqrt())
+            m = (decimal.Decimal(k).ln() / delta).to_integral_value(rounding=decimal.ROUND_CEILING)
+        assert int(m) - 1 == exact
+        n = count_pseudo_periods(ResonatorParams(f0=1.0, q=1e16, v0=1.0), MeasurementConfig(k, LAST))
+        assert abs(n - exact) <= within <= math.ulp(float(exact))
 
     def test_peak_value_where_m_t_overflows(self):
         # the maxima fall by the log decrement of Q whatever f0, with no warning

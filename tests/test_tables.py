@@ -250,6 +250,12 @@ SPECIAL = (
     9999999999999998.0, 5e-324, 1e-05, -1.0, -3.0, -1e15, 0.1, 1 / 3, 50000.0,
 )
 floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
+# signed zeros, two NaN payloads, both infinities, both smallest
+# subnormals and a few normal values
+DUPLICATE_POOL = (
+    0.0, -0.0, float("nan"), NAN_PAYLOAD, float("inf"), float("-inf"), 5e-324, -5e-324,
+    1.0, -2.5, 1 / 3, 299.75,
+)
 
 
 @st.composite
@@ -403,6 +409,27 @@ class TestPerDistinct:
         out = per_distinct(values, counted)
         assert out.shape[0] == values.size
         assert np.array_equal(out, fmt(values))
+        assert seen == [np.unique(values.view(np.int64)).size]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(0, 3 * _CSV_BLOCK),
+        pool=st.lists(st.sampled_from(DUPLICATE_POOL), min_size=1, max_size=len(DUPLICATE_POOL), unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_duplicate_heavy_draws(self, size, pool, seed):
+        # a few bit patterns repeated over up to three blocks' worth of
+        # cells: one formatter call with each distinct value, and the
+        # bytes of formatting every cell
+        values = np.array(pool)[np.random.default_rng(seed).integers(0, len(pool), size)]
+        seen = []
+
+        def counted(a):
+            seen.append(a.size)
+            return tables._shortest(a)
+
+        out = per_distinct(values, counted)
+        assert out.tobytes() == tables._shortest(values).tobytes()
         assert seen == [np.unique(values.view(np.int64)).size]
 
 
